@@ -11,6 +11,7 @@
 #include "fuzz/FuzzRng.h"
 #include "fuzz/Mutator.h"
 #include "fuzz/Reducer.h"
+#include "ipcp/AnalysisConfig.h"
 #include "ipcp/Cloning.h"
 #include "ipcp/Inliner.h"
 #include "lang/Parser.h"
@@ -26,55 +27,19 @@ using namespace ipcp;
 const std::vector<FuzzConfig> &ipcp::fuzzConfigs() {
   static const std::vector<FuzzConfig> Configs = [] {
     std::vector<FuzzConfig> C;
-    // Index 0 is the reference point of every hierarchy comparison.
-    C.push_back({"poly", PipelineOptions()});
-    {
-      PipelineOptions O;
-      O.Kind = JumpFunctionKind::Literal;
-      C.push_back({"literal", O});
-    }
-    {
-      PipelineOptions O;
-      O.Kind = JumpFunctionKind::PassThrough;
-      O.UseMod = false;
-      C.push_back({"pass-nomod", O});
-    }
-    {
-      PipelineOptions O;
-      O.CompletePropagation = true;
-      C.push_back({"poly-complete", O});
-    }
-    {
-      PipelineOptions O;
-      O.IntraproceduralOnly = true;
-      C.push_back({"intra-only", O});
-    }
-    {
-      PipelineOptions O;
-      O.UseGatedSsa = true;
-      C.push_back({"poly-gsa", O});
-    }
-    {
-      PipelineOptions O;
-      O.FlowSensitiveAlias = true;
-      C.push_back({"poly-fsa", O});
-    }
-    {
-      PipelineOptions O;
-      O.OptimisticVn = true;
-      C.push_back({"poly-ogvn", O});
-    }
-    {
-      PipelineOptions O;
-      O.CopyPropagation = true;
-      C.push_back({"poly-copy", O});
-    }
-    {
-      PipelineOptions O;
-      O.Kind = JumpFunctionKind::PassThrough;
-      O.CopyPropagation = true;
-      C.push_back({"copy", O});
-    }
+    // Index 0 is the reference point of every hierarchy comparison; the
+    // checks below also address the others by index.
+    for (auto [Name, Flags] : {std::pair{"poly", ""},
+                               {"literal", "--jf=literal"},
+                               {"pass-nomod", "--jf=pass --no-mod"},
+                               {"poly-complete", "--complete"},
+                               {"intra-only", "--intra-only"},
+                               {"poly-gsa", "--gsa"},
+                               {"poly-fsa", "--fsa"},
+                               {"poly-ogvn", "--ogvn"},
+                               {"poly-copy", "--copy"},
+                               {"copy", "--jf=pass --copy"}})
+      C.push_back({Name, optionsFromFlags(Flags)});
     return C;
   }();
   return Configs;
@@ -203,7 +168,7 @@ ipcp::evaluateProgram(const std::string &Source, FuzzFeedback &FB,
     if (!R.Ok || !sameAnalysis(Results[0], R))
       return makeFailure(
           "strategy-disagreement",
-          S == SolverStrategy::RoundRobin ? "round-robin" : "binding-graph",
+          solverStrategyToken(S),
           R.Ok ? "results differ from worklist solver" : R.Error, Source);
   }
 

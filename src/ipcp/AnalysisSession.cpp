@@ -6,6 +6,7 @@
 
 #include "ipcp/AnalysisSession.h"
 
+#include "ipcp/AnalysisConfig.h"
 #include "ir/CfgBuilder.h"
 
 #include <cassert>
@@ -142,14 +143,8 @@ const AnalysisSession::SsaBundle &AnalysisSession::ssa(ProcId P,
 const AnalysisSession::JfBase &
 AnalysisSession::jfBase(const JumpFunctionOptions &Opts,
                         const std::function<void(JfBase &)> &Build) {
-  unsigned Key = (Opts.UseMod ? 32u : 0u) |
-                 (Opts.UseReturnJumpFunctions ? 16u : 0u) |
-                 (Opts.UseGatedSsa ? 8u : 0u) |
-                 (Opts.FlowSensitiveAlias ? 4u : 0u) |
-                 (Opts.OptimisticVn ? 2u : 0u) |
-                 (Opts.CopyPropagation ? 1u : 0u);
   std::lock_guard<std::mutex> Lock(JfMutex);
-  auto &Slot = JfBases[Key];
+  auto &Slot = JfBases[jumpFunctionFlagBits(Opts)];
   if (!Slot) {
     Slot = std::make_unique<JfBase>();
     Build(*Slot);
@@ -172,8 +167,7 @@ void AnalysisSession::invalidate(const std::vector<ProcId> &Dirty) {
   VcMemo.clear();
   {
     std::lock_guard<std::mutex> Lock(JfMutex);
-    for (auto &Base : JfBases)
-      Base.reset();
+    JfBases.clear();
   }
   for (size_t I = 0, E = NumProcs * 2; I != E; ++I) {
     std::lock_guard<std::mutex> Lock(SsaSlots[I].M);

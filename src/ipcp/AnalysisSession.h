@@ -28,10 +28,10 @@
 ///     depends only on whether MOD summaries are in use, so slots are
 ///     keyed (ProcId, UseMod).
 ///   * A jump-function base — stage-1 return jump functions plus the
-///     value numberings built along the way — depends on
-///     (UseMod, UseReturnJumpFunctions, UseGatedSsa, FlowSensitiveAlias,
-///     OptimisticVn) but NOT on the forward jump-function kind, which
-///     only classifies stage-2 output.
+///     value numberings built along the way — depends on every
+///     jump-function flag (the JumpFunctions rows of
+///     ipcp/AnalysisConfig.h) but NOT on the forward jump-function kind,
+///     which only classifies stage-2 output.
 ///   * A stage-1 value numbering equals a stage-2 rebuild only for
 ///     non-recursive procedures (bottom-up order guarantees their
 ///     callees' return jump functions were complete); recursive ones are
@@ -71,6 +71,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 namespace ipcp {
@@ -163,9 +164,8 @@ public:
     std::vector<std::unique_ptr<VnBundle>> Vn;
   };
 
-  /// The base keyed by (UseMod, UseReturnJumpFunctions, UseGatedSsa,
-  /// FlowSensitiveAlias, OptimisticVn, CopyPropagation) of \p Opts,
-  /// running \p Build under the cache lock on first use.
+  /// The base keyed by every jump-function flag of \p Opts except the
+  /// kind, running \p Build under the cache lock on first use.
   const JfBase &jfBase(const JumpFunctionOptions &Opts,
                        const std::function<void(JfBase &)> &Build);
 
@@ -230,10 +230,10 @@ private:
   };
   std::unique_ptr<SsaSlot[]> SsaSlots;
 
-  /// Jump-function bases keyed (UseMod << 5) | (UseRjf << 4) |
-  /// (Gated << 3) | (Fsa << 2) | (Ogvn << 1) | Copy.
+  /// Jump-function bases keyed by jumpFunctionFlagBits
+  /// (ipcp/AnalysisConfig.h).
   std::mutex JfMutex;
-  std::unique_ptr<JfBase> JfBases[64];
+  std::unordered_map<unsigned, std::unique_ptr<JfBase>> JfBases;
 
   ValueContextMemo VcMemo;
 

@@ -578,3 +578,16 @@ ProgramJumpFunctions ipcp::buildJumpFunctions(
 
   return Jfs;
 }
+
+ProgramJumpFunctions ipcp::buildJumpFunctions(AnalysisSession &Session,
+                                              const JumpFunctionOptions &Opts,
+                                              ThreadPool *Pool) {
+  const FlowAliasInfo *FlowAliases =
+      Opts.FlowSensitiveAlias ? &Session.flowAlias(Opts.UseMod) : nullptr;
+  const CopyPropInfo *CopyFacts =
+      Opts.CopyPropagation ? &Session.copyProp(Opts.UseMod) : nullptr;
+  return buildJumpFunctions(Session.module(), Session.symbols(),
+                            Session.callGraph(), Session.modRef(Opts.UseMod),
+                            Opts, &Session.refAlias(Opts.UseMod), Pool,
+                            &Session, FlowAliases, CopyFacts);
+}

@@ -48,7 +48,8 @@ class ThreadPool;
 
 namespace ipcp {
 
-/// Configuration of one jump-function generation run.
+/// Configuration of one jump-function generation run (the part of a
+/// PipelineOptions that changes the jump functions built).
 struct JumpFunctionOptions {
   JumpFunctionKind Kind = JumpFunctionKind::Polynomial;
   /// Build and use return jump functions (§3.2).
@@ -77,6 +78,9 @@ struct JumpFunctionOptions {
   /// functions carry the recovered facts as Form::Copy / Copy leaves.
   /// Strictly refines every kind above IntraConst; byte-identical off.
   bool CopyPropagation = false;
+
+  /// True when the two configurations build identical jump functions.
+  bool operator==(const JumpFunctionOptions &) const = default;
 };
 
 /// Aggregate statistics over one generation run (feeds the §3.1.5 cost
@@ -187,6 +191,16 @@ ProgramJumpFunctions buildJumpFunctions(const Module &M,
                                             nullptr,
                                         const CopyPropInfo *CopyFacts =
                                             nullptr);
+
+/// The same build over \p Session's program, with every input the
+/// analysis itself uses taken from the session's caches: MOD/REF (when
+/// Opts.UseMod), the by-reference alias facts, and the flow-alias and
+/// copy facts when their flags are set. Every caller that wants "the jump
+/// functions this configuration analyzes with" — the pipeline, summary
+/// export, shard workers, --dump-jf — goes through here.
+ProgramJumpFunctions buildJumpFunctions(AnalysisSession &Session,
+                                        const JumpFunctionOptions &Opts,
+                                        ThreadPool *Pool = nullptr);
 
 /// Partitions \p Order (a serial processing order over procedures) into
 /// waves such that running each wave's members concurrently, with a

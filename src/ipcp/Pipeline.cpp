@@ -174,16 +174,7 @@ ipcp::runPipelineOnSession(AnalysisSession &Session,
       if (PreloadedJfs) {
         ActiveJfs = PreloadedJfs;
       } else {
-        JumpFunctionOptions JfOpts;
-        JfOpts.Kind = Opts.Kind;
-        JfOpts.UseReturnJumpFunctions = Opts.UseReturnJumpFunctions;
-        JfOpts.UseMod = Opts.UseMod;
-        JfOpts.UseGatedSsa = Opts.UseGatedSsa;
-        JfOpts.FlowSensitiveAlias = Opts.FlowSensitiveAlias;
-        JfOpts.OptimisticVn = Opts.OptimisticVn;
-        JfOpts.CopyPropagation = Opts.CopyPropagation;
-        Jfs = buildJumpFunctions(M, Symbols, CG, MRI, JfOpts, &Aliases, Pool,
-                                 &Session, FlowAliases, CopyFacts);
+        Jfs = buildJumpFunctions(Session, Opts, Pool);
       }
       Result.Timings.JumpFunctionsMs += lapMs(Phase);
       if (isCancelled(Opts.Cancel))

@@ -35,14 +35,11 @@ class CancelToken;
 class FuzzFeedback;
 class ThreadPool;
 
-/// One analyzer configuration.
-struct PipelineOptions {
-  /// Which forward jump function to build (§3.1).
-  JumpFunctionKind Kind = JumpFunctionKind::Polynomial;
-  /// Build/use return jump functions (§3.2).
-  bool UseReturnJumpFunctions = true;
-  /// Use interprocedural MOD summaries (Table 3 toggles this).
-  bool UseMod = true;
+/// One analyzer configuration: the jump-function configuration (Kind,
+/// return JFs, MOD, and the gated-SSA, precision and copy tiers; see
+/// JumpFunctionOptions) plus the propagation-level settings below. The
+/// external spellings of every field live in ipcp/AnalysisConfig.h.
+struct PipelineOptions : JumpFunctionOptions {
   /// Iterate {propagate, dead-code eliminate, reset to TOP} to a fixed
   /// point — the paper's "complete propagation" (Table 3, column 3).
   /// Mutates the AST.
@@ -50,26 +47,6 @@ struct PipelineOptions {
   /// Skip the interprocedural phases entirely: SCCP per procedure with
   /// BOTTOM entries but MOD-aware call effects (Table 3, column 4).
   bool IntraproceduralOnly = false;
-  /// Build jump functions over gated SSA (paper §4.2); an alternative to
-  /// CompletePropagation that needs no iteration.
-  bool UseGatedSsa = false;
-  /// Flow-/context-sensitive by-reference aliasing (analysis/FlowAlias.h)
-  /// instead of whole-procedure unstable masks: aliased symbols only read
-  /// as unknown at points where an aliased store may actually have
-  /// happened. Never loses a constant relative to the baseline.
-  bool FlowSensitiveAlias = false;
-  /// Pai-style optimistic iterative value numbering instead of the
-  /// pessimistic single pass: phi merges ignore unavailable inputs and
-  /// iterate to a fixpoint. Never loses a constant relative to the
-  /// pessimistic pass.
-  bool OptimisticVn = false;
-  /// Interprocedural copy propagation (ipcp/CopyLattice.h,
-  /// analysis/CopyProp.h): array loads whose cell provably holds a
-  /// literal or the entry value of a stable parameter resolve instead of
-  /// staying unknown, and jump functions carry the recovered facts as
-  /// copy forms through call sites, returns, and globals. Never loses a
-  /// constant relative to the same configuration without it.
-  bool CopyPropagation = false;
   /// Convergence bound for CompletePropagation: the maximum number of
   /// propagate/DCE rounds before the pipeline gives up with Result.Error
   /// set (a real runtime check, not an assertion — it must hold in

@@ -6,6 +6,7 @@
 
 #include "ipcp/SummaryIO.h"
 
+#include "ipcp/AnalysisConfig.h"
 #include "ipcp/AnalysisSession.h"
 #include "serve/Json.h"
 
@@ -24,51 +25,7 @@ uint64_t ipcp::summarySourceHash(std::string_view Source) {
   return H;
 }
 
-bool ipcp::sameJumpFunctionOptions(const JumpFunctionOptions &A,
-                                   const JumpFunctionOptions &B) {
-  return A.Kind == B.Kind &&
-         A.UseReturnJumpFunctions == B.UseReturnJumpFunctions &&
-         A.UseMod == B.UseMod && A.UseGatedSsa == B.UseGatedSsa &&
-         A.FlowSensitiveAlias == B.FlowSensitiveAlias &&
-         A.OptimisticVn == B.OptimisticVn &&
-         A.CopyPropagation == B.CopyPropagation;
-}
-
-const char *ipcp::jumpFunctionKindToken(JumpFunctionKind K) {
-  switch (K) {
-  case JumpFunctionKind::Literal:
-    return "literal";
-  case JumpFunctionKind::IntraConst:
-    return "intra";
-  case JumpFunctionKind::PassThrough:
-    return "pass";
-  case JumpFunctionKind::Polynomial:
-    return "poly";
-  }
-  return "?";
-}
-
-bool ipcp::parseJumpFunctionKindToken(const std::string &Token,
-                                      JumpFunctionKind &Out) {
-  for (JumpFunctionKind K :
-       {JumpFunctionKind::Literal, JumpFunctionKind::IntraConst,
-        JumpFunctionKind::PassThrough, JumpFunctionKind::Polynomial})
-    if (Token == jumpFunctionKindToken(K)) {
-      Out = K;
-      return true;
-    }
-  return false;
-}
-
 namespace {
-
-const char *kindToken(JumpFunctionKind K) {
-  return jumpFunctionKindToken(K);
-}
-
-bool parseKindToken(const std::string &S, JumpFunctionKind &Out) {
-  return parseJumpFunctionKindToken(S, Out);
-}
 
 std::string hex64(uint64_t V) {
   char Buf[17];
@@ -135,13 +92,19 @@ JsonValue statsJson(const JumpFunctionStats &S) {
 
 /// Exact-key-set check: serialization never emits unknown members, so a
 /// loader that meets one is reading a different (or corrupted) schema.
+/// \p Optional keys may be absent (members elided at their defaults).
 bool checkKeys(const JsonValue &Obj, std::initializer_list<const char *> Keys,
-               const char *What, std::string &Error) {
+               const char *What, std::string &Error,
+               std::initializer_list<const char *> Optional = {}) {
+  auto In = [](std::initializer_list<const char *> List,
+               const std::string &K) {
+    return std::find_if(List.begin(), List.end(), [&](const char *Want) {
+             return K == Want;
+           }) != List.end();
+  };
   for (const auto &[K, V] : Obj.members()) {
     (void)V;
-    if (std::find_if(Keys.begin(), Keys.end(), [&](const char *Want) {
-          return K == Want;
-        }) == Keys.end()) {
+    if (!In(Keys, K) && !In(Optional, K)) {
       Error = std::string("unknown ") + What + " field '" + K + "'";
       return false;
     }
@@ -151,50 +114,6 @@ bool checkKeys(const JsonValue &Obj, std::initializer_list<const char *> Keys,
       Error = std::string("missing ") + What + " field '" + Want + "'";
       return false;
     }
-  return true;
-}
-
-/// checkKeys with an extra set of keys that may be absent. The precision
-/// flags ride on this: a pre-precision (v1-layout) summary omits them and
-/// parses to the defaults, a precision-era summary spells them out, and
-/// any *other* unknown field still rejects.
-bool checkKeysOpt(const JsonValue &Obj,
-                  std::initializer_list<const char *> Required,
-                  std::initializer_list<const char *> Optional,
-                  const char *What, std::string &Error) {
-  for (const auto &[K, V] : Obj.members()) {
-    (void)V;
-    auto Known = [&](std::initializer_list<const char *> Keys) {
-      return std::find_if(Keys.begin(), Keys.end(), [&](const char *Want) {
-               return K == Want;
-             }) != Keys.end();
-    };
-    if (!Known(Required) && !Known(Optional)) {
-      Error = std::string("unknown ") + What + " field '" + K + "'";
-      return false;
-    }
-  }
-  for (const char *Want : Required)
-    if (!Obj.find(Want)) {
-      Error = std::string("missing ") + What + " field '" + Want + "'";
-      return false;
-    }
-  return true;
-}
-
-/// Reads an optional boolean member, defaulting to false when absent.
-bool parseOptBool(const JsonValue &Obj, const char *Key, bool &Out,
-                  const char *What, std::string &Error) {
-  const JsonValue *B = Obj.find(Key);
-  if (!B) {
-    Out = false;
-    return true;
-  }
-  if (!B->isBool()) {
-    Error = std::string(What) + "." + Key + " must be a boolean";
-    return false;
-  }
-  Out = B->boolean();
   return true;
 }
 
@@ -255,23 +174,14 @@ std::string ipcp::serializeSummary(const ProgramSummary &S) {
   Doc.set("program", S.Program);
   Doc.set("source_fnv", hex64(S.SourceHash));
 
-  JsonValue Cfg = JsonValue::object();
-  Cfg.set("jf", kindToken(S.Options.Kind));
-  Cfg.set("rjf", JsonValue(S.Options.UseReturnJumpFunctions));
-  Cfg.set("mod", JsonValue(S.Options.UseMod));
-  Cfg.set("gsa", JsonValue(S.Options.UseGatedSsa));
-  // Precision flags are elided at their defaults so summaries of
-  // pre-precision configurations stay byte-identical to the v1 layout.
-  if (S.Options.FlowSensitiveAlias)
-    Cfg.set("fsa", JsonValue(true));
-  if (S.Options.OptimisticVn)
-    Cfg.set("ogvn", JsonValue(true));
-  if (S.Options.CopyPropagation)
-    Cfg.set("copy", JsonValue(true));
-  Doc.set("config", std::move(Cfg));
+  Doc.set("config", jumpFunctionConfigJson(S.Options));
 
   Doc.set("num_procs", uint64_t(S.NumProcs));
   Doc.set("num_globals", uint64_t(S.NumGlobals));
+  // Elided at zero: only optimistic numbering merges phis, so every other
+  // configuration keeps the v1 layout byte for byte.
+  if (S.GvnPhiMerges)
+    Doc.set("gvn_phi_merges", uint64_t(S.GvnPhiMerges));
 
   JsonValue Procs = JsonValue::array();
   for (const ProcSummary &P : S.Procs) {
@@ -325,7 +235,7 @@ bool ipcp::parseSummary(std::string_view Text, ProgramSummary &Out,
   if (!checkKeys(*Doc,
                  {"format", "version", "program", "source_fnv", "config",
                   "num_procs", "num_globals", "procs", "stats"},
-                 "summary", Error))
+                 "summary", Error, {"gvn_phi_merges"}))
     return false;
 
   const JsonValue *Format = Doc->find("format");
@@ -356,33 +266,7 @@ bool ipcp::parseSummary(std::string_view Text, ProgramSummary &Out,
     return false;
   }
 
-  const JsonValue *Cfg = Doc->find("config");
-  if (!Cfg->isObject()) {
-    Error = "summary 'config' must be an object";
-    return false;
-  }
-  if (!checkKeysOpt(*Cfg, {"jf", "rjf", "mod", "gsa"},
-                    {"fsa", "ogvn", "copy"}, "config", Error))
-    return false;
-  const JsonValue *Jf = Cfg->find("jf");
-  if (!Jf->isString() || !parseKindToken(Jf->str(), S.Options.Kind)) {
-    Error = "config.jf must be literal|intra|pass|poly";
-    return false;
-  }
-  for (const char *Key : {"rjf", "mod", "gsa"}) {
-    const JsonValue *B = Cfg->find(Key);
-    if (!B->isBool()) {
-      Error = std::string("config.") + Key + " must be a boolean";
-      return false;
-    }
-  }
-  S.Options.UseReturnJumpFunctions = Cfg->find("rjf")->boolean();
-  S.Options.UseMod = Cfg->find("mod")->boolean();
-  S.Options.UseGatedSsa = Cfg->find("gsa")->boolean();
-  if (!parseOptBool(*Cfg, "fsa", S.Options.FlowSensitiveAlias, "config",
-                    Error) ||
-      !parseOptBool(*Cfg, "ogvn", S.Options.OptimisticVn, "config", Error) ||
-      !parseOptBool(*Cfg, "copy", S.Options.CopyPropagation, "config", Error))
+  if (!parseJumpFunctionConfigJson(*Doc->find("config"), S.Options, Error))
     return false;
 
   const JsonValue *NumProcs = Doc->find("num_procs");
@@ -394,6 +278,13 @@ bool ipcp::parseSummary(std::string_view Text, ProgramSummary &Out,
   }
   S.NumProcs = size_t(NumProcs->integer());
   S.NumGlobals = size_t(NumGlobals->integer());
+  if (const JsonValue *Merges = Doc->find("gvn_phi_merges")) {
+    if (!Merges->isInt() || Merges->integer() <= 0) {
+      Error = "summary 'gvn_phi_merges' must be a positive integer";
+      return false;
+    }
+    S.GvnPhiMerges = size_t(Merges->integer());
+  }
 
   const JsonValue *Procs = Doc->find("procs");
   if (!Procs->isArray()) {
@@ -534,6 +425,7 @@ ProgramSummary ipcp::makeSummary(std::string ProgramName, uint64_t SourceHash,
   S.Program = std::move(ProgramName);
   S.SourceHash = SourceHash;
   S.Options = Jfs.Options;
+  S.GvnPhiMerges = Jfs.Stats.NumGvnPhiMerges;
   S.NumProcs = CG.numProcs();
   S.NumGlobals = Symbols.globalScalars().size();
 
@@ -574,19 +466,10 @@ ProgramSummary ipcp::buildSummary(AnalysisSession &Session,
                                   const JumpFunctionOptions &Opts,
                                   std::string ProgramName, uint64_t SourceHash,
                                   ThreadPool *Pool) {
-  const Module &M = Session.module();
-  const CallGraph &CG = Session.callGraph();
-  const ModRefInfo *MRI = Session.modRef(Opts.UseMod);
-  const RefAliasInfo &Aliases = Session.refAlias(Opts.UseMod);
-  const FlowAliasInfo *FlowAliases =
-      Opts.FlowSensitiveAlias ? &Session.flowAlias(Opts.UseMod) : nullptr;
-  const CopyPropInfo *CopyFacts =
-      Opts.CopyPropagation ? &Session.copyProp(Opts.UseMod) : nullptr;
-  ProgramJumpFunctions Jfs =
-      buildJumpFunctions(M, Session.symbols(), CG, MRI, Opts, &Aliases, Pool,
-                         &Session, FlowAliases, CopyFacts);
-  return makeSummary(std::move(ProgramName), SourceHash, M, Session.symbols(),
-                     CG, Jfs, &Aliases);
+  ProgramJumpFunctions Jfs = buildJumpFunctions(Session, Opts, Pool);
+  return makeSummary(std::move(ProgramName), SourceHash, Session.module(),
+                     Session.symbols(), Session.callGraph(), Jfs,
+                     &Session.refAlias(Opts.UseMod));
 }
 
 bool ipcp::mergeSummaries(std::vector<ProgramSummary> Parts,
@@ -600,6 +483,7 @@ bool ipcp::mergeSummaries(std::vector<ProgramSummary> Parts,
   Merged.Program = First.Program;
   Merged.SourceHash = First.SourceHash;
   Merged.Options = First.Options;
+  Merged.GvnPhiMerges = First.GvnPhiMerges;
   Merged.NumProcs = First.NumProcs;
   Merged.NumGlobals = First.NumGlobals;
 
@@ -616,7 +500,8 @@ bool ipcp::mergeSummaries(std::vector<ProgramSummary> Parts,
               " was built from different source text (hash mismatch)";
       return false;
     }
-    if (!sameJumpFunctionOptions(Part.Options, Merged.Options)) {
+    if (Part.Options != Merged.Options ||
+        Part.GvnPhiMerges != Merged.GvnPhiMerges) {
       Error = "part " + std::to_string(I) +
               " was built under a different configuration";
       return false;
@@ -679,6 +564,7 @@ bool ipcp::reconstituteJumpFunctions(const ProgramSummary &S, const Module &M,
 
   ProgramJumpFunctions Jfs;
   Jfs.Options = S.Options;
+  size_t PassThroughReturns = 0;
   Jfs.PerSite.resize(S.NumProcs);
   Jfs.ReturnJfs.resize(S.NumProcs);
   for (const ProcSummary &P : S.Procs) {
@@ -722,9 +608,17 @@ bool ipcp::reconstituteJumpFunctions(const ProgramSummary &S, const Module &M,
         return false;
       }
       Jfs.ReturnJfs[P.Proc].emplace(Sym, J.clone());
+      if (J.form() == JumpFunction::Form::PassThrough)
+        ++PassThroughReturns;
     }
   }
+  // The builder counts a pass-through (identity) return jump function as
+  // polynomial; the checksum stats pinned in summary files do not. Report
+  // the builder's counts, so a run over reconstituted functions renders
+  // the same statistics as a local build.
   Jfs.Stats = summaryStats(S);
+  Jfs.Stats.NumReturnPoly += PassThroughReturns;
+  Jfs.Stats.NumGvnPhiMerges = S.GvnPhiMerges;
   Out = std::move(Jfs);
   return true;
 }

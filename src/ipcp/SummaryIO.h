@@ -80,6 +80,11 @@ struct ProgramSummary {
   /// a program that merely shares the name.
   uint64_t SourceHash = 0;
   JumpFunctionOptions Options;
+  /// Optimistic value numbering's phi merges over the whole build
+  /// (JumpFunctionStats::NumGvnPhiMerges). Not derivable from the stored
+  /// functions, so carried as is; every partial summary of one build
+  /// carries the same value.
+  size_t GvnPhiMerges = 0;
   /// Whole-program shape guards: procedure and global-scalar counts.
   size_t NumProcs = 0;
   size_t NumGlobals = 0;
@@ -98,17 +103,6 @@ struct ProgramSummary {
 /// Byte-wise FNV-1a of \p Source. Serialized into summary files, so its
 /// values are pinned — do not change the mixing.
 uint64_t summarySourceHash(std::string_view Source);
-
-/// Canonical token of a jump-function kind ("literal", "intra", "pass",
-/// "poly") and its inverse — shared by the summary format and the shard
-/// job files so the two never drift.
-const char *jumpFunctionKindToken(JumpFunctionKind K);
-bool parseJumpFunctionKindToken(const std::string &Token,
-                                JumpFunctionKind &Out);
-
-/// True when the two configurations build identical jump functions.
-bool sameJumpFunctionOptions(const JumpFunctionOptions &A,
-                             const JumpFunctionOptions &B);
 
 /// Statistics recomputed from a summary's content (deterministic in the
 /// content alone; serialized alongside it and checked on load as a

@@ -6,6 +6,8 @@
 
 #include "serve/Protocol.h"
 
+#include "ipcp/AnalysisConfig.h"
+
 #include <cstring>
 
 using namespace ipcp;
@@ -58,100 +60,6 @@ bool parseMethod(const std::string &Name, ServeMethod &Out) {
       return true;
     }
   return false;
-}
-
-const char *kindToken(JumpFunctionKind K) {
-  switch (K) {
-  case JumpFunctionKind::Literal:
-    return "literal";
-  case JumpFunctionKind::IntraConst:
-    return "intra";
-  case JumpFunctionKind::PassThrough:
-    return "pass";
-  case JumpFunctionKind::Polynomial:
-    return "poly";
-  }
-  return "?";
-}
-
-const char *strategyToken(SolverStrategy S) {
-  switch (S) {
-  case SolverStrategy::Worklist:
-    return "worklist";
-  case SolverStrategy::RoundRobin:
-    return "round-robin";
-  case SolverStrategy::BindingGraph:
-    return "binding-graph";
-  }
-  return "?";
-}
-
-/// Decodes the `config` object into PipelineOptions. Unknown members
-/// are rejected: a typo'd field silently analyzing under defaults is
-/// exactly the kind of bug a service protocol must not have.
-bool parseConfig(const JsonValue &Cfg, PipelineOptions &Opts,
-                 std::string &Error) {
-  if (!Cfg.isObject()) {
-    Error = "'config' must be an object";
-    return false;
-  }
-  for (const auto &[Key, V] : Cfg.members()) {
-    if (Key == "jf") {
-      std::string Kind = V.isString() ? V.str() : "";
-      if (Kind == "literal")
-        Opts.Kind = JumpFunctionKind::Literal;
-      else if (Kind == "intra")
-        Opts.Kind = JumpFunctionKind::IntraConst;
-      else if (Kind == "pass")
-        Opts.Kind = JumpFunctionKind::PassThrough;
-      else if (Kind == "poly")
-        Opts.Kind = JumpFunctionKind::Polynomial;
-      else {
-        Error = "config.jf must be literal|intra|pass|poly";
-        return false;
-      }
-    } else if (Key == "strategy") {
-      std::string S = V.isString() ? V.str() : "";
-      if (S == "worklist")
-        Opts.Strategy = SolverStrategy::Worklist;
-      else if (S == "round-robin")
-        Opts.Strategy = SolverStrategy::RoundRobin;
-      else if (S == "binding-graph")
-        Opts.Strategy = SolverStrategy::BindingGraph;
-      else {
-        Error = "config.strategy must be worklist|round-robin|binding-graph";
-        return false;
-      }
-    } else if (Key == "rjf" || Key == "mod" || Key == "complete" ||
-               Key == "gsa" || Key == "fsa" || Key == "ogvn" ||
-               Key == "copy" || Key == "intra_only") {
-      if (!V.isBool()) {
-        Error = "config." + Key + " must be a boolean";
-        return false;
-      }
-      bool B = V.boolean();
-      if (Key == "rjf")
-        Opts.UseReturnJumpFunctions = B;
-      else if (Key == "mod")
-        Opts.UseMod = B;
-      else if (Key == "complete")
-        Opts.CompletePropagation = B;
-      else if (Key == "gsa")
-        Opts.UseGatedSsa = B;
-      else if (Key == "fsa")
-        Opts.FlowSensitiveAlias = B;
-      else if (Key == "ogvn")
-        Opts.OptimisticVn = B;
-      else if (Key == "copy")
-        Opts.CopyPropagation = B;
-      else
-        Opts.IntraproceduralOnly = B;
-    } else {
-      Error = "unknown config field '" + Key + "'";
-      return false;
-    }
-  }
-  return true;
 }
 
 bool parseReport(const JsonValue &Rep, ReportOptions &Out,
@@ -259,7 +167,7 @@ bool ipcp::parseServeRequest(const std::string &Line, ServeRequest &Out,
   }
 
   if (const JsonValue *Cfg = Params->find("config"))
-    if (!parseConfig(*Cfg, Out.Config, Error))
+    if (!parseConfigJson(*Cfg, Out.Config, Error))
       return false;
   if (const JsonValue *Rep = Params->find("report"))
     if (!parseReport(*Rep, Out.Report, Error))
@@ -292,27 +200,7 @@ bool ipcp::parseServeRequest(const std::string &Line, ServeRequest &Out,
 
 std::string ipcp::configKey(const PipelineOptions &Opts,
                             const ReportOptions &R) {
-  std::string Key;
-  Key += "jf=";
-  Key += kindToken(Opts.Kind);
-  Key += " rjf=";
-  Key += Opts.UseReturnJumpFunctions ? '1' : '0';
-  Key += " mod=";
-  Key += Opts.UseMod ? '1' : '0';
-  Key += " complete=";
-  Key += Opts.CompletePropagation ? '1' : '0';
-  Key += " gsa=";
-  Key += Opts.UseGatedSsa ? '1' : '0';
-  Key += " fsa=";
-  Key += Opts.FlowSensitiveAlias ? '1' : '0';
-  Key += " ogvn=";
-  Key += Opts.OptimisticVn ? '1' : '0';
-  Key += " copy=";
-  Key += Opts.CopyPropagation ? '1' : '0';
-  Key += " intra=";
-  Key += Opts.IntraproceduralOnly ? '1' : '0';
-  Key += " strategy=";
-  Key += strategyToken(Opts.Strategy);
+  std::string Key = configKeyOf(Opts);
   Key += " quiet=";
   Key += R.Quiet ? '1' : '0';
   Key += " stats=";
@@ -415,23 +303,7 @@ std::string ipcp::serializeServeRequest(const ServeRequest &Req) {
                      Req.Method == ServeMethod::AnalyzeSuiteProgram ||
                      Req.Method == ServeMethod::Validate;
   if (NeedsConfig) {
-    JsonValue Cfg = JsonValue::object();
-    Cfg.set("jf", kindToken(Req.Config.Kind));
-    Cfg.set("rjf", JsonValue(Req.Config.UseReturnJumpFunctions));
-    Cfg.set("mod", JsonValue(Req.Config.UseMod));
-    Cfg.set("complete", JsonValue(Req.Config.CompletePropagation));
-    Cfg.set("gsa", JsonValue(Req.Config.UseGatedSsa));
-    // Precision flags follow the exec-engine pattern: defaults are
-    // elided so pre-precision request lines stay byte-identical.
-    if (Req.Config.FlowSensitiveAlias)
-      Cfg.set("fsa", JsonValue(true));
-    if (Req.Config.OptimisticVn)
-      Cfg.set("ogvn", JsonValue(true));
-    if (Req.Config.CopyPropagation)
-      Cfg.set("copy", JsonValue(true));
-    Cfg.set("intra_only", JsonValue(Req.Config.IntraproceduralOnly));
-    Cfg.set("strategy", strategyToken(Req.Config.Strategy));
-    Params.set("config", std::move(Cfg));
+    Params.set("config", configJson(Req.Config));
 
     JsonValue Rep = JsonValue::object();
     Rep.set("quiet", JsonValue(Req.Report.Quiet));

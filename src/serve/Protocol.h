@@ -102,8 +102,9 @@ bool parseServeRequest(const std::string &Line, ServeRequest &Out,
                        std::string &Error);
 
 /// The canonical configuration key: every field that can change the
-/// rendered reply, in a fixed order. Two requests with equal
-/// (source, configKey) are interchangeable.
+/// rendered reply, in a fixed order (the analysis half is configKeyOf,
+/// ipcp/AnalysisConfig.h). Two requests with equal (source, configKey)
+/// are interchangeable.
 std::string configKey(const PipelineOptions &Opts, const ReportOptions &R);
 
 /// 64-bit FNV-1a over the request's analysis content — the cache and

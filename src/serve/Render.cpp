@@ -6,6 +6,8 @@
 
 #include "serve/Render.h"
 
+#include "ipcp/AnalysisConfig.h"
+
 #include <sstream>
 
 using namespace ipcp;
@@ -19,15 +21,7 @@ std::string ipcp::renderAnalysisReport(const PipelineOptions &Opts,
     return OS.str();
   }
 
-  OS << "jump function: " << jumpFunctionKindName(Opts.Kind)
-     << (Opts.UseReturnJumpFunctions ? ", return JFs" : "")
-     << (Opts.UseMod ? ", MOD" : ", no MOD")
-     << (Opts.CompletePropagation ? ", complete" : "")
-     << (Opts.UseGatedSsa ? ", gated SSA" : "")
-     << (Opts.FlowSensitiveAlias ? ", flow-sensitive aliasing" : "")
-     << (Opts.OptimisticVn ? ", optimistic GVN" : "")
-     << (Opts.CopyPropagation ? ", copy propagation" : "")
-     << (Opts.IntraproceduralOnly ? " [intraprocedural only]" : "") << "\n";
+  OS << "jump function: " << configLabel(Opts) << "\n";
   OS << "constants substituted: " << Result.SubstitutedConstants << "\n";
   if (Opts.CompletePropagation)
     OS << "dead-code rounds: " << Result.DceRounds << " (folded "

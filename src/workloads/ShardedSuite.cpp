@@ -6,6 +6,7 @@
 
 #include "workloads/ShardedSuite.h"
 
+#include "ipcp/AnalysisConfig.h"
 #include "ipcp/AnalysisSession.h"
 #include "lang/Parser.h"
 #include "serve/Json.h"
@@ -84,78 +85,6 @@ bool checkKeys(const JsonValue &Obj,
   return true;
 }
 
-JsonValue configJson(const JumpFunctionOptions &O) {
-  JsonValue Cfg = JsonValue::object();
-  Cfg.set("jf", jumpFunctionKindToken(O.Kind));
-  Cfg.set("rjf", O.UseReturnJumpFunctions);
-  Cfg.set("mod", O.UseMod);
-  Cfg.set("gsa", O.UseGatedSsa);
-  // Elided at defaults, so pre-precision job files round-trip unchanged.
-  if (O.FlowSensitiveAlias)
-    Cfg.set("fsa", true);
-  if (O.OptimisticVn)
-    Cfg.set("ogvn", true);
-  if (O.CopyPropagation)
-    Cfg.set("copy", true);
-  return Cfg;
-}
-
-bool parseConfigJson(const JsonValue &Cfg, JumpFunctionOptions &O,
-                     std::string &Error) {
-  if (!Cfg.isObject()) {
-    Error = "shard job 'config' must be an object";
-    return false;
-  }
-  // Same exact-key discipline as checkKeys, with the precision flags as
-  // the only optional members (absent in pre-precision job files).
-  for (const auto &[K, V] : Cfg.members()) {
-    (void)V;
-    bool Known = false;
-    for (const char *Want : {"gsa", "jf", "mod", "rjf", "fsa", "ogvn", "copy"})
-      Known = Known || K == Want;
-    if (!Known) {
-      Error = "shard job config has unknown field '" + K + "'";
-      return false;
-    }
-  }
-  for (const char *K : {"gsa", "jf", "mod", "rjf"})
-    if (!Cfg.find(K)) {
-      Error = std::string("shard job config is missing field '") + K + "'";
-      return false;
-    }
-  const JsonValue *Jf = Cfg.find("jf");
-  if (!Jf->isString() || !parseJumpFunctionKindToken(Jf->str(), O.Kind)) {
-    Error = "shard job config.jf is not a jump-function kind";
-    return false;
-  }
-  const std::pair<const char *, bool *> Flags[] = {
-      {"rjf", &O.UseReturnJumpFunctions},
-      {"mod", &O.UseMod},
-      {"gsa", &O.UseGatedSsa}};
-  for (auto [Key, Dst] : Flags) {
-    const JsonValue *V = Cfg.find(Key);
-    if (!V->isBool()) {
-      Error = std::string("shard job config.") + Key + " must be a boolean";
-      return false;
-    }
-    *Dst = V->boolean();
-  }
-  // Optional precision flags (absent in pre-precision job files).
-  const std::pair<const char *, bool *> OptFlags[] = {
-      {"fsa", &O.FlowSensitiveAlias},
-      {"ogvn", &O.OptimisticVn},
-      {"copy", &O.CopyPropagation}};
-  for (auto [Key, Dst] : OptFlags) {
-    const JsonValue *V = Cfg.find(Key);
-    if (V && !V->isBool()) {
-      Error = std::string("shard job config.") + Key + " must be a boolean";
-      return false;
-    }
-    *Dst = V ? V->boolean() : false;
-  }
-  return true;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -168,8 +97,7 @@ std::string ipcp::serializeShardJob(const ShardJob &Job) {
   Doc.set("version", 1);
   Doc.set("mode", Job.JobMode == ShardJob::Mode::Cells ? "cells" : "summary");
   Doc.set("config_set", Job.ConfigSet);
-  Doc.set("emit_summaries", Job.EmitSummaries);
-  Doc.set("config", configJson(Job.Config));
+  Doc.set("config", jumpFunctionConfigJson(Job.Config));
   JsonValue Procs = JsonValue::array();
   for (ProcId P : Job.Procs)
     Procs.push(JsonValue(static_cast<int64_t>(P)));
@@ -198,9 +126,8 @@ bool ipcp::parseShardJob(std::string_view Text, ShardJob &Out,
     return false;
   }
   if (!checkKeys(*Doc,
-                 {"config", "config_set", "crash_after_cells",
-                  "emit_summaries", "format", "mode", "procs", "programs",
-                  "version"},
+                 {"config", "config_set", "crash_after_cells", "format",
+                  "mode", "procs", "programs", "version"},
                  "shard job", Error))
     return false;
   if (Doc->strOr("format", "") != "ipcp-shard-job") {
@@ -233,15 +160,11 @@ bool ipcp::parseShardJob(std::string_view Text, ShardJob &Out,
   }
   Job.ConfigSet = Cs->str();
 
-  const JsonValue *Es = Doc->find("emit_summaries");
-  if (!Es->isBool()) {
-    Error = "shard job 'emit_summaries' must be a boolean";
+  if (!parseJumpFunctionConfigJson(*Doc->find("config"), Job.Config,
+                                   Error)) {
+    Error = "shard job " + Error;
     return false;
   }
-  Job.EmitSummaries = Es->boolean();
-
-  if (!parseConfigJson(*Doc->find("config"), Job.Config, Error))
-    return false;
 
   const JsonValue *Procs = Doc->find("procs");
   if (!Procs->isArray()) {
@@ -400,26 +323,6 @@ bool ipcp::parseShardResult(std::string_view Text, ShardResult &Out,
 // The worker
 //===----------------------------------------------------------------------===//
 
-std::vector<JumpFunctionOptions>
-ipcp::distinctSummaryOptions(const std::vector<SuiteConfig> &Configs) {
-  std::vector<JumpFunctionOptions> Out;
-  for (const SuiteConfig &C : Configs) {
-    if (C.Opts.CompletePropagation || C.Opts.IntraproceduralOnly)
-      continue;
-    JumpFunctionOptions O;
-    O.Kind = C.Opts.Kind;
-    O.UseReturnJumpFunctions = C.Opts.UseReturnJumpFunctions;
-    O.UseMod = C.Opts.UseMod;
-    O.UseGatedSsa = C.Opts.UseGatedSsa;
-    bool Seen = false;
-    for (const JumpFunctionOptions &E : Out)
-      Seen = Seen || sameJumpFunctionOptions(E, O);
-    if (!Seen)
-      Out.push_back(O);
-  }
-  return Out;
-}
-
 int ipcp::runShardWorker(const std::string &JobPath,
                          const std::string &OutPath) {
   std::string Text, Error;
@@ -451,8 +354,6 @@ int ipcp::runShardWorker(const std::string &JobPath,
                 << "'\n";
       return 2;
     }
-    std::vector<JumpFunctionOptions> SummaryOpts =
-        distinctSummaryOptions(Configs);
     for (const ShardJobProgram &P : Job.Programs) {
       WorkloadProgram W{};
       W.Name = P.Name;
@@ -464,23 +365,6 @@ int ipcp::runShardWorker(const std::string &JobPath,
       for (const SuiteCell &C : Batch.Cells)
         R.Cells.push_back({C.Program, C.Config, C.Ok, C.SubstitutedConstants,
                            C.ConstantPrints});
-      if (Job.EmitSummaries) {
-        DiagnosticEngine Diags;
-        auto Ctx = parseProgram(P.Source, Diags);
-        SymbolTable Symbols;
-        if (!Diags.hasErrors())
-          Symbols = Sema::run(*Ctx, Diags);
-        if (Diags.hasErrors()) {
-          std::cerr << "shard-worker: program '" << P.Name
-                    << "' failed the frontend:\n"
-                    << Diags.str();
-          return 2;
-        }
-        AnalysisSession Session(*Ctx, Symbols);
-        for (const JumpFunctionOptions &O : SummaryOpts)
-          R.Summaries.push_back(serializeSummary(
-              buildSummary(Session, O, P.Name, summarySourceHash(P.Source))));
-      }
       CellsDone += Batch.Cells.size();
       MaybeCrash();
     }
@@ -498,7 +382,6 @@ int ipcp::runShardWorker(const std::string &JobPath,
       return 2;
     }
     AnalysisSession Session(*Ctx, Symbols);
-    const Module &M = Session.module();
     const CallGraph &CG = Session.callGraph();
     for (ProcId Proc : Job.Procs)
       if (Proc >= CG.numProcs()) {
@@ -506,13 +389,10 @@ int ipcp::runShardWorker(const std::string &JobPath,
                   << " out of range (program has " << CG.numProcs() << ")\n";
         return 2;
       }
-    const RefAliasInfo &Aliases = Session.refAlias(Job.Config.UseMod);
-    ProgramJumpFunctions Jfs = buildJumpFunctions(
-        M, Symbols, CG, Session.modRef(Job.Config.UseMod), Job.Config,
-        &Aliases, nullptr, &Session);
-    R.Summaries.push_back(serializeSummary(
-        makeSummary(P.Name, summarySourceHash(P.Source), M, Symbols, CG, Jfs,
-                    &Aliases, Job.Procs)));
+    ProgramJumpFunctions Jfs = buildJumpFunctions(Session, Job.Config);
+    R.Summaries.push_back(serializeSummary(makeSummary(
+        P.Name, summarySourceHash(P.Source), Session.module(), Symbols, CG,
+        Jfs, &Session.refAlias(Job.Config.UseMod), Job.Procs)));
     CellsDone += Job.Procs.size();
     MaybeCrash();
   }
@@ -685,8 +565,6 @@ ipcp::runShardedSuite(const std::vector<WorkloadProgram> &Programs,
     R.Error = "no programs to shard";
     return R;
   }
-  std::vector<JumpFunctionOptions> SummaryOpts =
-      distinctSummaryOptions(Configs);
 
   Scratch S;
   if (!prepareScratch(Opts.Spawn, S, R.Error))
@@ -699,7 +577,6 @@ ipcp::runShardedSuite(const std::vector<WorkloadProgram> &Programs,
     Parts[I].Index = I;
     Parts[I].Job.JobMode = ShardJob::Mode::Cells;
     Parts[I].Job.ConfigSet = Opts.ConfigSet;
-    Parts[I].Job.EmitSummaries = Opts.EmitSummaries;
   }
   for (size_t I = 0; I != Programs.size(); ++I)
     Parts[I % N].Job.Programs.push_back(
@@ -712,7 +589,6 @@ ipcp::runShardedSuite(const std::vector<WorkloadProgram> &Programs,
   // Reassemble the grid in canonical order, insisting on exact coverage:
   // every (program, config) exactly once, no strays.
   std::map<std::pair<std::string, std::string>, ShardCellResult> ByKey;
-  std::map<std::string, std::vector<std::string>> SummariesByProgram;
   size_t TotalCells = 0;
   for (const Partition &P : Parts) {
     for (const ShardCellResult &C : P.Result.Cells) {
@@ -723,21 +599,6 @@ ipcp::runShardedSuite(const std::vector<WorkloadProgram> &Programs,
                   " produced a duplicate cell for (" + C.Program + ", " +
                   C.Config + ")";
         return R;
-      }
-    }
-    if (Opts.EmitSummaries) {
-      size_t Expected = P.Job.Programs.size() * SummaryOpts.size();
-      if (P.Result.Summaries.size() != Expected) {
-        R.Error = "partition " + std::to_string(P.Index) + " shipped " +
-                  std::to_string(P.Result.Summaries.size()) +
-                  " summaries, expected " + std::to_string(Expected);
-        return R;
-      }
-      for (size_t I = 0; I != P.Job.Programs.size(); ++I) {
-        std::vector<std::string> &Dst =
-            SummariesByProgram[P.Job.Programs[I].Name];
-        for (size_t O = 0; O != SummaryOpts.size(); ++O)
-          Dst.push_back(P.Result.Summaries[I * SummaryOpts.size() + O]);
       }
     }
   }
@@ -754,9 +615,6 @@ ipcp::runShardedSuite(const std::vector<WorkloadProgram> &Programs,
       }
       R.Cells.push_back(std::move(It->second));
     }
-    if (Opts.EmitSummaries)
-      for (std::string &Doc : SummariesByProgram[P.Name])
-        R.Summaries.push_back(std::move(Doc));
   }
   if (TotalCells != R.Cells.size()) {
     R.Error = "workers produced " + std::to_string(TotalCells) +
@@ -798,12 +656,6 @@ ipcp::runShardedAnalysis(const std::string &Name, const std::string &Source,
   AnalysisSession Session(*Ctx, Symbols);
   const CallGraph &CG = Session.callGraph();
 
-  JumpFunctionOptions JfOpts;
-  JfOpts.Kind = Opts.Kind;
-  JfOpts.UseReturnJumpFunctions = Opts.UseReturnJumpFunctions;
-  JfOpts.UseMod = Opts.UseMod;
-  JfOpts.UseGatedSsa = Opts.UseGatedSsa;
-
   Scratch S;
   if (!prepareScratch(SOpts.Spawn, S, R.Error))
     return R;
@@ -814,7 +666,7 @@ ipcp::runShardedAnalysis(const std::string &Name, const std::string &Source,
   for (size_t I = 0; I != N; ++I) {
     Parts[I].Index = I;
     Parts[I].Job.JobMode = ShardJob::Mode::Summary;
-    Parts[I].Job.Config = JfOpts;
+    Parts[I].Job.Config = Opts;
     Parts[I].Job.Programs.push_back({Name, Source});
   }
   for (ProcId P = 0; P != CG.numProcs(); ++P)

@@ -14,9 +14,7 @@
 ///     round-robined across workers. Each worker runs its programs'
 ///     cells through the ordinary suite runner, so the reassembled grid
 ///     is byte-identical (deterministic fields) to a single-process
-///     runSuite at any worker count. Workers optionally ship serialized
-///     jump-function summaries back for the coordinator to
-///     differential-check.
+///     runSuite at any worker count.
 ///
 ///   * runShardedAnalysis — one program's procedures round-robined
 ///     across workers, each of which writes the partial jump-function
@@ -67,10 +65,8 @@ struct ShardJob {
   Mode JobMode = Mode::Cells;
   std::vector<ShardJobProgram> Programs;
 
-  /// Cells mode: the named config set ("all"/"table2"/"table3") and
-  /// whether to ship per-program jump-function summaries back.
+  /// Cells mode: the named config set ("all"/"table2"/"table3").
   std::string ConfigSet = "all";
-  bool EmitSummaries = false;
 
   /// Summary mode: the builder configuration and the procedure slice.
   JumpFunctionOptions Config;
@@ -98,8 +94,9 @@ struct ShardCellResult {
 /// A worker's result file.
 struct ShardResult {
   std::vector<ShardCellResult> Cells;
-  /// Serialized summary documents (ipcp/SummaryIO.h), embedded verbatim
-  /// so the coordinator re-validates them through parseSummary.
+  /// Summary mode: the serialized partial summary (ipcp/SummaryIO.h),
+  /// embedded verbatim so the coordinator re-validates it through
+  /// parseSummary.
   std::vector<std::string> Summaries;
 };
 
@@ -111,13 +108,6 @@ bool parseShardResult(std::string_view Text, ShardResult &Out,
 /// runs it, writes the result to \p OutPath. Returns the process exit
 /// code (0 = result written; diagnostics go to stderr).
 int runShardWorker(const std::string &JobPath, const std::string &OutPath);
-
-/// The distinct jump-function configurations among \p Configs that build
-/// reusable summaries (first-seen order; complete-propagation and
-/// intraprocedural-only columns are excluded — the former rebuilds its
-/// functions per DCE round, the latter has none).
-std::vector<JumpFunctionOptions>
-distinctSummaryOptions(const std::vector<SuiteConfig> &Configs);
 
 /// Coordinator knobs shared by both partitionings.
 struct ShardSpawnOptions {
@@ -140,9 +130,6 @@ struct ShardSpawnOptions {
 struct ShardedSuiteOptions {
   unsigned NumWorkers = 2;
   std::string ConfigSet = "all";
-  /// Ship per-program summaries back (one per program per
-  /// distinctSummaryOptions entry, in that order).
-  bool EmitSummaries = false;
   ShardSpawnOptions Spawn;
 };
 
@@ -156,8 +143,6 @@ struct ShardedSuiteResult {
   std::vector<ShardCellResult> Cells;
   size_t NumPrograms = 0;
   size_t NumConfigs = 0;
-  /// When EmitSummaries: program-major, distinctSummaryOptions-minor.
-  std::vector<std::string> Summaries;
 
   unsigned WorkersSpawned = 0;
   unsigned WorkerCrashes = 0;

@@ -6,71 +6,58 @@
 
 #include "workloads/SuiteRunner.h"
 
+#include "ipcp/AnalysisConfig.h"
 #include "lang/AstClone.h"
 #include "lang/Parser.h"
 #include "support/ThreadPool.h"
 
 #include <chrono>
+#include <initializer_list>
 #include <memory>
+#include <utility>
 
 using namespace ipcp;
 
 namespace {
 
-SuiteConfig makeConfig(std::string Name,
-                       JumpFunctionKind Kind = JumpFunctionKind::Polynomial,
-                       bool Rjf = true, bool Mod = true) {
-  SuiteConfig C;
-  C.Name = std::move(Name);
-  C.Opts.Kind = Kind;
-  C.Opts.UseReturnJumpFunctions = Rjf;
-  C.Opts.UseMod = Mod;
-  return C;
+/// Named configurations spelled as driver flags (ipcp/AnalysisConfig.h).
+std::vector<SuiteConfig>
+configsFromFlags(std::initializer_list<std::pair<const char *, const char *>>
+                     NamedFlags) {
+  std::vector<SuiteConfig> Configs;
+  for (auto [Name, Flags] : NamedFlags)
+    Configs.push_back({Name, optionsFromFlags(Flags)});
+  return Configs;
 }
 
 } // namespace
 
 std::vector<SuiteConfig> ipcp::table2Configs() {
-  std::vector<SuiteConfig> Configs = {
-      makeConfig("poly", JumpFunctionKind::Polynomial),
-      makeConfig("pass", JumpFunctionKind::PassThrough),
-      makeConfig("intra", JumpFunctionKind::IntraConst),
-      makeConfig("literal", JumpFunctionKind::Literal),
-      makeConfig("poly-norjf", JumpFunctionKind::Polynomial, /*Rjf=*/false),
-      makeConfig("pass-norjf", JumpFunctionKind::PassThrough, /*Rjf=*/false),
-  };
-  // The precision tier: polynomial with flow-sensitive aliasing, and
-  // with optimistic value numbering. Each refines the plain "poly"
-  // column, never below it (the precision-differential wall pins this).
-  SuiteConfig Fsa = makeConfig("poly-fsa");
-  Fsa.Opts.FlowSensitiveAlias = true;
-  Configs.push_back(std::move(Fsa));
-  SuiteConfig Ogvn = makeConfig("poly-ogvn");
-  Ogvn.Opts.OptimisticVn = true;
-  Configs.push_back(std::move(Ogvn));
-  // The copy tier: pass-through and polynomial with the copy lattice
-  // (--copy). Each refines its base column — loads the lattice resolves
-  // stop reading as unknown — never below it (check-copy pins this).
-  SuiteConfig Copy = makeConfig("copy", JumpFunctionKind::PassThrough);
-  Copy.Opts.CopyPropagation = true;
-  Configs.push_back(std::move(Copy));
-  SuiteConfig PolyCopy = makeConfig("poly-copy");
-  PolyCopy.Opts.CopyPropagation = true;
-  Configs.push_back(std::move(PolyCopy));
-  return Configs;
+  return configsFromFlags({
+      {"poly", ""},
+      {"pass", "--jf=pass"},
+      {"intra", "--jf=intra"},
+      {"literal", "--jf=literal"},
+      {"poly-norjf", "--no-rjf"},
+      {"pass-norjf", "--jf=pass --no-rjf"},
+      // The precision tier: each refines the plain "poly" column, never
+      // below it (the precision-differential wall pins this).
+      {"poly-fsa", "--fsa"},
+      {"poly-ogvn", "--ogvn"},
+      // The copy tier: each refines its base column — loads the lattice
+      // resolves stop reading as unknown — never below it (check-copy
+      // pins this).
+      {"copy", "--jf=pass --copy"},
+      {"poly-copy", "--copy"},
+  });
 }
 
 std::vector<SuiteConfig> ipcp::table3Configs() {
-  std::vector<SuiteConfig> Configs;
-  Configs.push_back(makeConfig("poly-nomod", JumpFunctionKind::Polynomial,
-                               /*Rjf=*/true, /*Mod=*/false));
-  SuiteConfig Complete = makeConfig("complete");
-  Complete.Opts.CompletePropagation = true;
-  Configs.push_back(std::move(Complete));
-  SuiteConfig IntraOnly = makeConfig("intra-only");
-  IntraOnly.Opts.IntraproceduralOnly = true;
-  Configs.push_back(std::move(IntraOnly));
-  return Configs;
+  return configsFromFlags({
+      {"poly-nomod", "--no-mod"},
+      {"complete", "--complete"},
+      {"intra-only", "--intra-only"},
+  });
 }
 
 std::vector<SuiteConfig> ipcp::allConfigs() {

@@ -198,7 +198,6 @@ TEST(ShardFiles, JobRoundTripsAndRejectsGarbage) {
   ShardJob Job;
   Job.JobMode = ShardJob::Mode::Cells;
   Job.ConfigSet = "table3";
-  Job.EmitSummaries = true;
   Job.Programs.push_back({"p1", "proc main()\n  print 1\nend\n"});
   Job.Programs.push_back({"p2", "proc main()\n  print 2\nend\n"});
 
@@ -251,46 +250,35 @@ TEST(ShardFiles, ResultRoundTripsAndRejectsGarbage) {
 // Sharded analysis: merged summaries render the local report
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-PipelineOptions configNamed(const std::string &Name) {
-  for (const SuiteConfig &C : configsByName("all"))
-    if (C.Name == Name)
-      return C.Opts;
-  ADD_FAILURE() << "no config named " << Name;
-  return {};
-}
-
-} // namespace
-
 TEST(ShardedAnalysis, MatchesLocalPipelineReport) {
-  const std::vector<WorkloadProgram> &Suite = benchmarkSuite();
+  const std::vector<WorkloadProgram> &Suite = extendedSuite();
   ReportOptions Report;
   Report.Stats = true;
 
-  for (const char *ProgramName : {"trfd", "ocean"}) {
+  for (const char *ProgramName : {"trfd", "ocean", "doduc", "copychains"}) {
     const WorkloadProgram *W = nullptr;
     for (const WorkloadProgram &P : Suite)
       if (P.Name == ProgramName)
         W = &P;
     ASSERT_NE(nullptr, W);
 
-    for (const char *ConfigName : {"poly", "pass", "literal"}) {
-      PipelineOptions Opts = configNamed(ConfigName);
-
-      PipelineResult Local = runPipeline(W->Source, Opts);
+    for (const SuiteConfig &C : allConfigs()) {
+      // Neither has a stage 2 to shard (RejectsNonShardableConfigs).
+      if (C.Opts.CompletePropagation || C.Opts.IntraproceduralOnly)
+        continue;
+      PipelineResult Local = runPipeline(W->Source, C.Opts);
       ASSERT_TRUE(Local.Ok) << Local.Error;
 
       ShardedAnalysisOptions SOpts;
       SOpts.NumShards = 3;
       SOpts.Spawn = workerSpawn();
       ShardedAnalysisResult Sharded =
-          runShardedAnalysis(W->Name, W->Source, Opts, SOpts);
+          runShardedAnalysis(W->Name, W->Source, C.Opts, SOpts);
       ASSERT_TRUE(Sharded.Ok) << Sharded.Error;
 
-      EXPECT_EQ(renderAnalysisReport(Opts, Local, Report),
-                renderAnalysisReport(Opts, Sharded.Pipeline, Report))
-          << ProgramName << " / " << ConfigName;
+      EXPECT_EQ(renderAnalysisReport(C.Opts, Local, Report),
+                renderAnalysisReport(C.Opts, Sharded.Pipeline, Report))
+          << ProgramName << " / " << C.Name;
     }
   }
 }

@@ -81,6 +81,29 @@ if(NOT EXISTS "${WORK_DIR}/constants.txt")
   set(FAILURES "${FAILURES}\nconstants_out: file not written")
 endif()
 
+# --dump-jf builds the jump functions the analysis uses: without MOD it
+# must not trip the builder's MOD contract.
+expect_run(dump_jf_no_mod zero "" "--suite=ocean" "--dump-jf" "--no-mod")
+
+# ... and the return jump functions it prints are the alias-masked (or,
+# with --fsa, flow-gated) ones the solver sees: one `return` line per
+# non-bottom return JF, as counted by --stats.
+foreach(EXTRA "" "--fsa")
+  set(TAG "mdg${EXTRA}")
+  expect_run(dump_jf_${TAG} zero "" "--suite=mdg" "--dump-jf" ${EXTRA})
+  string(REGEX MATCHALL "(^|\n)return " RETURN_LINES "${LAST_STDOUT}")
+  list(LENGTH RETURN_LINES DUMPED)
+  expect_run(stats_${TAG} zero "" "--suite=mdg" "--stats" ${EXTRA})
+  if(LAST_STDOUT MATCHES "return jump functions: [0-9]+ \\(([0-9]+) const, ([0-9]+) polynomial")
+    math(EXPR USED "${CMAKE_MATCH_1} + ${CMAKE_MATCH_2}")
+    if(NOT DUMPED EQUAL USED)
+      set(FAILURES "${FAILURES}\ndump_jf_${TAG}: ${DUMPED} return lines, analysis uses ${USED}")
+    endif()
+  else()
+    set(FAILURES "${FAILURES}\nstats_${TAG}: no return jump function line in '${LAST_STDOUT}'")
+  endif()
+endforeach()
+
 if(NOT FAILURES STREQUAL "")
   message(FATAL_ERROR "driver CLI test failures:${FAILURES}")
 endif()

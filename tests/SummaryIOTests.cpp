@@ -354,6 +354,8 @@ TEST(SummaryIO, ParseRejectsMalformedDocuments) {
       {Mutate("\"source_fnv\":\"", "\"source_fnv\":\"zz"), "hex"},
       {Mutate("\"jf\":\"poly\"", "\"jf\":\"cubic\""), "config.jf"},
       {Mutate("\"num_procs\":3", "\"num_procs\":-3"), "non-negative"},
+      {Mutate("\"num_procs\":3", "\"gvn_phi_merges\":0,\"num_procs\":3"),
+       "gvn_phi_merges"},
   };
   for (const Case &C : Cases) {
     Error.clear();

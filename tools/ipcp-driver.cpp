@@ -7,34 +7,24 @@
 /// \file
 /// ipcp-driver: run the analyzer over a MiniFort file.
 ///
-///   ipcp-driver [options] file.mf
-///     --jf=<literal|intra|pass|poly>  forward jump function (default poly)
-///     --no-rjf                        disable return jump functions
-///     --no-mod                        drop interprocedural MOD information
-///     --complete                      iterate with dead-code elimination
-///     --intra-only                    purely intraprocedural propagation
-///     --round-robin                   naive solver (default: worklist)
-///     --emit-source                   print the transformed source
-///     --quiet                         print only the substitution count
+///   ipcp-driver [options] <file.mf | --suite=<name>>   (see --help)
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/CallGraph.h"
-#include "analysis/CopyProp.h"
 #include "exec/ExecEngine.h"
 #include "exec/Interpreter.h"
 #include "exec/Oracle.h"
+#include "ipcp/AnalysisConfig.h"
+#include "ipcp/AnalysisSession.h"
 #include "ipcp/Cloning.h"
 #include "ipcp/Inliner.h"
 #include "ipcp/Pipeline.h"
-#include "ir/CfgBuilder.h"
 #include "ir/Dominators.h"
 #include "ir/IrPrinter.h"
 #include "lang/Parser.h"
 #include "serve/Client.h"
 #include "serve/Protocol.h"
 #include "serve/Render.h"
-#include "ipcp/AnalysisSession.h"
 #include "ipcp/SummaryIO.h"
 #include "support/TablePrinter.h"
 #include "support/ThreadPool.h"
@@ -55,18 +45,8 @@ using namespace ipcp;
 static void printUsage() {
   std::cerr
       << "usage: ipcp-driver [options] <file.mf | --suite=<name>>\n"
-         "  --jf=<literal|intra|pass|poly>  forward jump function kind\n"
-         "  --no-rjf       disable return jump functions\n"
-         "  --no-mod       drop interprocedural MOD information\n"
-         "  --complete     iterate with dead-code elimination\n"
-         "  --gsa          gated-SSA jump functions (no DCE iteration)\n"
-         "  --fsa          flow-sensitive by-reference aliasing\n"
-         "  --ogvn         optimistic (iterative) value numbering\n"
-         "  --copy         interprocedural copy propagation (copy lattice)\n"
-         "  --intra-only   purely intraprocedural propagation\n"
-         "  --round-robin  naive fixpoint strategy\n"
-         "  --binding-graph  binding multi-graph fixpoint strategy\n"
-         "  --emit-source  print the transformed source\n"
+      << configFlagsUsage()
+      << "  --emit-source  print the transformed source\n"
          "  --quiet        print only the substitution count\n"
          "  --suite=<name> analyze a built-in suite program (e.g. ocean)\n"
          "  --threads=<n>  worker threads inside one analysis (0 = all cores)\n"
@@ -170,40 +150,13 @@ int main(int argc, char **argv) {
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    if (Arg.rfind("--jf=", 0) == 0) {
-      std::string Kind = Arg.substr(5);
-      if (Kind == "literal")
-        Opts.Kind = JumpFunctionKind::Literal;
-      else if (Kind == "intra")
-        Opts.Kind = JumpFunctionKind::IntraConst;
-      else if (Kind == "pass")
-        Opts.Kind = JumpFunctionKind::PassThrough;
-      else if (Kind == "poly")
-        Opts.Kind = JumpFunctionKind::Polynomial;
-      else {
-        std::cerr << "error: unknown jump function kind '" << Kind << "'\n";
+    std::string Error;
+    if (ConfigFlag F = applyConfigFlag(Arg, Opts, Error);
+        F != ConfigFlag::NotConfig) {
+      if (F == ConfigFlag::BadValue) {
+        std::cerr << "error: " << Error << '\n';
         return 1;
       }
-    } else if (Arg == "--no-rjf") {
-      Opts.UseReturnJumpFunctions = false;
-    } else if (Arg == "--no-mod") {
-      Opts.UseMod = false;
-    } else if (Arg == "--complete") {
-      Opts.CompletePropagation = true;
-    } else if (Arg == "--gsa") {
-      Opts.UseGatedSsa = true;
-    } else if (Arg == "--fsa") {
-      Opts.FlowSensitiveAlias = true;
-    } else if (Arg == "--ogvn") {
-      Opts.OptimisticVn = true;
-    } else if (Arg == "--copy") {
-      Opts.CopyPropagation = true;
-    } else if (Arg == "--intra-only") {
-      Opts.IntraproceduralOnly = true;
-    } else if (Arg == "--round-robin") {
-      Opts.Strategy = SolverStrategy::RoundRobin;
-    } else if (Arg == "--binding-graph") {
-      Opts.Strategy = SolverStrategy::BindingGraph;
     } else if (Arg == "--emit-source") {
       EmitSource = true;
     } else if (Arg == "--quiet") {
@@ -578,15 +531,7 @@ int main(int argc, char **argv) {
       return 1;
     }
     AnalysisSession Session(*Ctx, Symbols);
-    JumpFunctionOptions JfOpts;
-    JfOpts.Kind = Opts.Kind;
-    JfOpts.UseReturnJumpFunctions = Opts.UseReturnJumpFunctions;
-    JfOpts.UseMod = Opts.UseMod;
-    JfOpts.UseGatedSsa = Opts.UseGatedSsa;
-    JfOpts.FlowSensitiveAlias = Opts.FlowSensitiveAlias;
-    JfOpts.OptimisticVn = Opts.OptimisticVn;
-    JfOpts.CopyPropagation = Opts.CopyPropagation;
-    ProgramSummary S = buildSummary(Session, JfOpts, ProgramName,
+    ProgramSummary S = buildSummary(Session, Opts, ProgramName,
                                     summarySourceHash(Source));
     std::ofstream OutFile(SummaryOut, std::ios::binary | std::ios::trunc);
     if (!OutFile) {
@@ -681,37 +626,19 @@ int main(int argc, char **argv) {
       Diags.print(std::cerr);
       return 1;
     }
-    Module M = buildModule(Ctx->program(), Symbols);
-    CallGraph CG(M, *Ctx->program().entryProc());
-    ModRefInfo MRI(M, Symbols, CG);
-    for (const auto &F : M.Functions) {
+    AnalysisSession Session(*Ctx, Symbols);
+    const CallGraph &CG = Session.callGraph();
+    for (const auto &F : Session.module().Functions) {
       if (DumpIr)
         printFunction(*F, Symbols, std::cout);
       if (DumpSsa) {
         DominatorTree DT(*F);
-        SsaForm Ssa(*F, Symbols, DT, makeKillOracle(Symbols, &MRI));
+        SsaForm Ssa(*F, Symbols, DT, Session.killOracle(/*UseMod=*/true));
         printSsa(Ssa, Symbols, std::cout);
       }
     }
     if (DumpJf) {
-      JumpFunctionOptions JfOpts;
-      JfOpts.Kind = Opts.Kind;
-      JfOpts.UseReturnJumpFunctions = Opts.UseReturnJumpFunctions;
-      JfOpts.UseMod = Opts.UseMod;
-      JfOpts.UseGatedSsa = Opts.UseGatedSsa;
-      JfOpts.FlowSensitiveAlias = Opts.FlowSensitiveAlias;
-      JfOpts.OptimisticVn = Opts.OptimisticVn;
-      JfOpts.CopyPropagation = Opts.CopyPropagation;
-      std::optional<CopyPropInfo> CopyFacts;
-      if (JfOpts.CopyPropagation) {
-        RefAliasInfo Aliases(M, Symbols, &MRI);
-        CopyFacts.emplace(M, Symbols, &MRI, Aliases);
-      }
-      ProgramJumpFunctions Jfs =
-          buildJumpFunctions(M, Symbols, CG, &MRI, JfOpts,
-                             /*Aliases=*/nullptr, /*Pool=*/nullptr,
-                             /*Session=*/nullptr, /*FlowAliases=*/nullptr,
-                             CopyFacts ? &*CopyFacts : nullptr);
+      ProgramJumpFunctions Jfs = buildJumpFunctions(Session, Opts);
       for (ProcId P = 0; P != CG.numProcs(); ++P) {
         const auto &Sites = CG.callSitesIn(P);
         for (size_t I = 0; I != Sites.size(); ++I) {
@@ -787,15 +714,7 @@ int main(int argc, char **argv) {
       Diags.print(std::cerr);
       return 1;
     }
-    JumpFunctionOptions JfOpts;
-    JfOpts.Kind = Opts.Kind;
-    JfOpts.UseReturnJumpFunctions = Opts.UseReturnJumpFunctions;
-    JfOpts.UseMod = Opts.UseMod;
-    JfOpts.UseGatedSsa = Opts.UseGatedSsa;
-    JfOpts.FlowSensitiveAlias = Opts.FlowSensitiveAlias;
-    JfOpts.OptimisticVn = Opts.OptimisticVn;
-    JfOpts.CopyPropagation = Opts.CopyPropagation;
-    if (!sameJumpFunctionOptions(S.Options, JfOpts)) {
+    if (S.Options != Opts) {
       std::cerr << "error: '" << SummaryIn << "' was built under a "
                    "different jump-function configuration than the one "
                    "selected\n";
