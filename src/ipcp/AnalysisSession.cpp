@@ -143,16 +143,20 @@ const AnalysisSession::SsaBundle &AnalysisSession::ssa(ProcId P,
 const AnalysisSession::JfBase &
 AnalysisSession::jfBase(const JumpFunctionOptions &Opts,
                         const std::function<void(JfBase &)> &Build) {
-  std::lock_guard<std::mutex> Lock(JfMutex);
-  auto &Slot = JfBases[jumpFunctionFlagBits(Opts)];
-  if (!Slot) {
-    Slot = std::make_unique<JfBase>();
-    Build(*Slot);
+  JfSlot *Slot;
+  {
+    std::lock_guard<std::mutex> Lock(JfMutex);
+    Slot = &JfSlots[jumpFunctionFlagBits(Opts)];
+  }
+  std::lock_guard<std::mutex> Lock(Slot->M);
+  if (!Slot->B) {
+    Slot->B = std::make_unique<JfBase>();
+    Build(*Slot->B);
     C.JfBasesBuilt.fetch_add(1, std::memory_order_relaxed);
   } else {
     C.JfBasesReused.fetch_add(1, std::memory_order_relaxed);
   }
-  return *Slot;
+  return *Slot->B;
 }
 
 void AnalysisSession::invalidate(const std::vector<ProcId> &Dirty) {
@@ -167,7 +171,7 @@ void AnalysisSession::invalidate(const std::vector<ProcId> &Dirty) {
   VcMemo.clear();
   {
     std::lock_guard<std::mutex> Lock(JfMutex);
-    JfBases.clear();
+    JfSlots.clear();
   }
   for (size_t I = 0, E = NumProcs * 2; I != E; ++I) {
     std::lock_guard<std::mutex> Lock(SsaSlots[I].M);

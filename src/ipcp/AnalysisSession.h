@@ -44,7 +44,16 @@
 /// Read accessors are thread-safe (the shared-suite runner analyzes one
 /// session from many cells concurrently); invalidate() and ast() require
 /// exclusive use, which the complete-propagation loop — the only mutator
-/// — provides by running on a private clone of the program.
+/// — provides by running on a private clone of the program. Locking is
+/// per artifact so that cells of one program do not queue behind each
+/// other: CoreMutex guards the module and the whole-program summaries,
+/// while each SSA bundle (per procedure and UseMod) and each
+/// jump-function base (per key) lives in a slot with its own lock. A
+/// slot's lock is held while its artifact is built, so every artifact
+/// is built exactly once, and artifacts under distinct keys build
+/// concurrently. The only nesting is a jump-function base's build, which
+/// takes CoreMutex and SSA slot locks (one at a time) under its slot
+/// lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,6 +99,21 @@ struct SessionStats {
   uint64_t JfBasesReused = 0;  ///< jfBase() calls served from the cache.
   uint64_t SolverMemoHits = 0;   ///< Value-context memo replays (all solves).
   uint64_t SolverMemoMisses = 0; ///< Contexts evaluated fresh (all solves).
+
+  /// Field-wise sum (aggregating the sessions of a batch).
+  SessionStats &operator+=(const SessionStats &O) {
+    ProcsLowered += O.ProcsLowered;
+    ProcsRelowered += O.ProcsRelowered;
+    SsaBuilt += O.SsaBuilt;
+    SsaReused += O.SsaReused;
+    VnBuilt += O.VnBuilt;
+    VnReused += O.VnReused;
+    JfBasesBuilt += O.JfBasesBuilt;
+    JfBasesReused += O.JfBasesReused;
+    SolverMemoHits += O.SolverMemoHits;
+    SolverMemoMisses += O.SolverMemoMisses;
+    return *this;
+  }
 };
 
 /// Memoizing home of every analysis artifact of one checked program.
@@ -165,7 +189,9 @@ public:
   };
 
   /// The base keyed by every jump-function flag of \p Opts except the
-  /// kind, running \p Build under the cache lock on first use.
+  /// kind, running \p Build on first use under that key's slot lock:
+  /// concurrent callers with the same key wait for the one build, while
+  /// bases of distinct keys build in parallel.
   const JfBase &jfBase(const JumpFunctionOptions &Opts,
                        const std::function<void(JfBase &)> &Build);
 
@@ -230,10 +256,15 @@ private:
   };
   std::unique_ptr<SsaSlot[]> SsaSlots;
 
-  /// Jump-function bases keyed by jumpFunctionFlagBits
-  /// (ipcp/AnalysisConfig.h).
+  /// Jump-function-base slots keyed by jumpFunctionFlagBits
+  /// (ipcp/AnalysisConfig.h); like SsaSlot, each has its own lock.
+  /// JfMutex guards only the key -> slot map (whose nodes never move).
+  struct JfSlot {
+    std::mutex M;
+    std::unique_ptr<JfBase> B;
+  };
   std::mutex JfMutex;
-  std::unordered_map<unsigned, std::unique_ptr<JfBase>> JfBases;
+  std::unordered_map<unsigned, JfSlot> JfSlots;
 
   ValueContextMemo VcMemo;
 

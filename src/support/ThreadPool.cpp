@@ -90,9 +90,9 @@ void ipcp::parallelFor(ThreadPool *Pool, size_t N,
   // (per the parallelFor contract).
   struct SharedState {
     std::atomic<size_t> Next{0};
-    std::atomic<size_t> Active{0};
     std::mutex Mutex;
     std::condition_variable Done;
+    size_t Active = 0; ///< Helpers not yet finished; guarded by Mutex.
   } State;
 
   auto Drain = [&State, &Fn, N] {
@@ -101,18 +101,21 @@ void ipcp::parallelFor(ThreadPool *Pool, size_t N,
   };
 
   size_t Helpers = std::min<size_t>(Pool->size(), N);
-  State.Active.store(Helpers);
+  State.Active = Helpers;
   for (size_t T = 0; T != Helpers; ++T)
     Pool->post([&State, Drain] {
       Drain();
-      if (State.Active.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> Lock(State.Mutex);
+      // State lives on the caller's stack and dies as soon as the caller
+      // sees Active reach zero, so the count drops and the notify happens
+      // under the lock: the caller cannot observe zero until this helper
+      // has finished touching State.
+      std::lock_guard<std::mutex> Lock(State.Mutex);
+      if (--State.Active == 0)
         State.Done.notify_one();
-      }
     });
 
   Drain(); // The calling thread participates too.
 
   std::unique_lock<std::mutex> Lock(State.Mutex);
-  State.Done.wait(Lock, [&State] { return State.Active.load() == 0; });
+  State.Done.wait(Lock, [&State] { return State.Active == 0; });
 }

@@ -11,6 +11,7 @@
 #include "lang/Parser.h"
 #include "support/ThreadPool.h"
 
+#include <atomic>
 #include <chrono>
 #include <initializer_list>
 #include <memory>
@@ -86,6 +87,10 @@ struct ProgState {
   std::unique_ptr<AnalysisSession> Session;
   bool Ok = false;
   std::string Error;
+  /// Cells of this program not yet finished; the cell that takes it to
+  /// zero snapshots Stats and frees the session and the AST.
+  std::atomic<size_t> CellsLeft{0};
+  SessionStats Stats;
 };
 
 } // namespace
@@ -123,11 +128,12 @@ SuiteRunResult ipcp::runSuite(const std::vector<WorkloadProgram> &Programs,
 
   Clock::time_point BatchStart = Clock::now();
 
-  std::vector<ProgState> States;
+  const size_t NP = Programs.size(), NC = Configs.size();
+  std::vector<ProgState> States(Sharing == SuiteSharing::Shared ? NP : 0);
   if (Sharing == SuiteSharing::Shared) {
-    States.resize(Programs.size());
-    parallelFor(Pool.get(), Programs.size(), [&](size_t P) {
+    parallelFor(Pool.get(), NP, [&](size_t P) {
       ProgState &PS = States[P];
+      PS.CellsLeft.store(NC, std::memory_order_relaxed);
       DiagnosticEngine Diags;
       PS.Ctx = parseProgram(Programs[P].Source, Diags);
       if (!Diags.hasErrors())
@@ -144,10 +150,15 @@ SuiteRunResult ipcp::runSuite(const std::vector<WorkloadProgram> &Programs,
             .count();
   }
 
-  parallelFor(Pool.get(), Result.Cells.size(), [&](size_t I) {
-    size_t P = I / Configs.size();
-    size_t C = I % Configs.size();
-    SuiteCell &Cell = Result.Cells[I];
+  // Cells are claimed config-major (K walks every program's config 0,
+  // then every program's config 1, ...), so the threads draining the
+  // batch work on different programs' sessions instead of queueing on
+  // one session's locks. Each result still lands in its program-major
+  // slot, so the output does not depend on the claim order.
+  parallelFor(Pool.get(), Result.Cells.size(), [&](size_t K) {
+    size_t P = K % NP;
+    size_t C = K / NP;
+    SuiteCell &Cell = Result.Cells[P * NC + C];
     Cell.Program = Programs[P].Name;
     Cell.Config = Configs[C].Name;
 
@@ -179,7 +190,22 @@ SuiteRunResult ipcp::runSuite(const std::vector<WorkloadProgram> &Programs,
     Cell.AliasPointsRefined = R.AliasPointsRefined;
     Cell.GvnPhiMerges = R.GvnPhiMerges;
     Cell.CopyLoadsResolved = R.CopyLoadsResolved;
+
+    // Last cell out tears the program down, inside the parallel batch.
+    if (Sharing == SuiteSharing::Shared &&
+        States[P].CellsLeft.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      ProgState &PS = States[P];
+      if (PS.Session)
+        PS.Stats = PS.Session->stats();
+      PS.Session.reset();
+      PS.Ctx.reset();
+      PS.Symbols = SymbolTable();
+    }
   });
+
+  for (const ProgState &PS : States)
+    Result.Cache += PS.Stats;
+  States.clear(); // Frees what no last cell did (a batch with no configs).
   Result.WallMs =
       std::chrono::duration<double, std::milli>(Clock::now() - BatchStart)
           .count();
@@ -187,21 +213,6 @@ SuiteRunResult ipcp::runSuite(const std::vector<WorkloadProgram> &Programs,
   for (const SuiteCell &Cell : Result.Cells) {
     Result.CellMs += Cell.Millis;
     Result.TotalSubstituted += Cell.SubstitutedConstants;
-  }
-  for (const ProgState &PS : States) {
-    if (!PS.Session)
-      continue;
-    SessionStats S = PS.Session->stats();
-    Result.Cache.ProcsLowered += S.ProcsLowered;
-    Result.Cache.ProcsRelowered += S.ProcsRelowered;
-    Result.Cache.SsaBuilt += S.SsaBuilt;
-    Result.Cache.SsaReused += S.SsaReused;
-    Result.Cache.VnBuilt += S.VnBuilt;
-    Result.Cache.VnReused += S.VnReused;
-    Result.Cache.JfBasesBuilt += S.JfBasesBuilt;
-    Result.Cache.JfBasesReused += S.JfBasesReused;
-    Result.Cache.SolverMemoHits += S.SolverMemoHits;
-    Result.Cache.SolverMemoMisses += S.SolverMemoMisses;
   }
   return Result;
 }

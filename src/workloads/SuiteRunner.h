@@ -86,15 +86,18 @@ struct SuiteRunResult {
   std::vector<SuiteCell> Cells;
   size_t NumPrograms = 0;
   size_t NumConfigs = 0;
-  double WallMs = 0;  ///< Wall clock of the whole batch.
+  /// Wall clock of the whole batch: frontends, cells and the teardown
+  /// of every per-program session (taken after the last one is freed).
+  double WallMs = 0;
   double CellMs = 0;  ///< Sum of per-cell times (~ serial cost).
   unsigned TotalSubstituted = 0;
   /// Shared mode only: wall clock of the one-per-program parse+sema
   /// phase (per-cell frontend cost is zero there).
   double FrontendMs = 0;
   /// Shared mode only: cache counters summed over the per-program
-  /// sessions (the private clones complete-propagation cells analyze
-  /// are not included).
+  /// sessions, each snapshotted by its program's last cell just before
+  /// the session is freed (the private clones complete-propagation cells
+  /// analyze are not included).
   SessionStats Cache;
 
   const SuiteCell &cell(size_t Program, size_t Config) const {
@@ -116,14 +119,21 @@ enum class SuiteSharing : uint8_t {
   Shared,
 };
 
-/// Runs every program under every config. \p Jobs is the number of
-/// worker threads fanning out whole pipeline runs (1 = serial, 0 = one
-/// per hardware thread); \p ThreadsPerRun is forwarded to
+/// Runs every program under every config. \p Jobs is the worker count
+/// of the pool fanning out whole pipeline runs (1 = serial, no pool;
+/// 0 = one per hardware thread). The calling thread drains cells
+/// alongside the workers (parallelFor), so Jobs = N > 1 runs up to N + 1
+/// cells at once — Jobs=4 runs five. \p ThreadsPerRun is forwarded to
 /// PipelineOptions::Threads of each run. When Jobs != 1 the per-cell
 /// thread count is clamped to 1 — batch-level fan-out already saturates
 /// the cores, and nesting pools would oversubscribe them; when Jobs == 1
 /// all cells share a single injected pool (PipelineOptions::Pool), so
 /// the batch creates at most one pool either way.
+///
+/// Cells are claimed config-major, so concurrent cells mostly analyze
+/// different programs. In Shared mode the cell that finishes a program's
+/// last configuration frees that program's session and AST, so teardown
+/// runs in parallel inside the batch.
 SuiteRunResult runSuite(const std::vector<WorkloadProgram> &Programs,
                         const std::vector<SuiteConfig> &Configs,
                         unsigned Jobs = 1, unsigned ThreadsPerRun = 1,

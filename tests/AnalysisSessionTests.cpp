@@ -9,14 +9,16 @@
 /// byte-identical to a cold one for every configuration, on every suite
 /// program and a sweep of random ones; DCE's dirty-set must re-lower
 /// only the procedures it mutated; the solver memo must actually fire;
-/// and the suite runner must create exactly one thread pool however its
-/// two fan-out levels are configured.
+/// jump-function bases of distinct keys must build concurrently while
+/// one key builds exactly once; and the suite runner must create exactly
+/// one thread pool however its two fan-out levels are configured.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ipcp/AnalysisSession.h"
 
 #include "analysis/DeadCodeElim.h"
+#include "ipcp/AnalysisConfig.h"
 #include "ipcp/Pipeline.h"
 #include "ipcp/Solver.h"
 #include "ipcp/Substitution.h"
@@ -31,8 +33,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace ipcp;
@@ -257,6 +264,66 @@ TEST(AnalysisSession, CrossConfigReplayKeepsFingerprintsByteIdentical) {
     EXPECT_GT(W.Session->solverMemo().hits(), 0u) << P.Name;
     EXPECT_EQ(W.Session->solverMemo().misses(), MissesAfterFirst) << P.Name;
   }
+}
+
+TEST(AnalysisSession, DistinctJfBaseKeysBuildConcurrently) {
+  // Each key's Build announces that it started, then waits (bounded) for
+  // the other key's Build to start too. Were one lock held across every
+  // Build, the first builder would wait out the timeout for a build that
+  // cannot start until it returns.
+  WarmProgram W = warmUp(benchmarkSuite().front().Source);
+  JumpFunctionOptions Keys[2];
+  Keys[1].UseMod = false;
+  ASSERT_NE(jumpFunctionFlagBits(Keys[0]), jumpFunctionFlagBits(Keys[1]));
+
+  std::mutex M;
+  std::condition_variable CV;
+  unsigned Started = 0;
+  bool SawOther[2] = {false, false};
+  auto Request = [&](size_t K) {
+    W.Session->jfBase(Keys[K], [&](AnalysisSession::JfBase &) {
+      std::unique_lock<std::mutex> Lock(M);
+      ++Started;
+      CV.notify_all();
+      SawOther[K] = CV.wait_for(Lock, std::chrono::seconds(10),
+                                [&] { return Started == 2; });
+    });
+  };
+  std::thread T0(Request, 0), T1(Request, 1);
+  T0.join();
+  T1.join();
+  EXPECT_TRUE(SawOther[0]);
+  EXPECT_TRUE(SawOther[1]);
+  EXPECT_EQ(W.Session->stats().JfBasesBuilt, 2u);
+  EXPECT_EQ(W.Session->stats().JfBasesReused, 0u);
+}
+
+TEST(AnalysisSession, SameJfBaseKeyBuildsOnce) {
+  // N threads request one key at once: one builds (slowly, so the others
+  // arrive mid-build), the rest wait on the slot and reuse its base.
+  constexpr unsigned N = 8;
+  WarmProgram W = warmUp(benchmarkSuite().front().Source);
+  JumpFunctionOptions Opts;
+  std::atomic<unsigned> Builds{0}, Ready{0};
+  const AnalysisSession::JfBase *Got[N] = {};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != N; ++T)
+    Threads.emplace_back([&, T] {
+      Ready.fetch_add(1);
+      while (Ready.load() != N)
+        std::this_thread::yield();
+      Got[T] = &W.Session->jfBase(Opts, [&](AnalysisSession::JfBase &) {
+        Builds.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      });
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  EXPECT_EQ(Builds.load(), 1u);
+  EXPECT_EQ(W.Session->stats().JfBasesBuilt, 1u);
+  EXPECT_EQ(W.Session->stats().JfBasesReused, N - 1);
+  for (unsigned T = 1; T != N; ++T)
+    EXPECT_EQ(Got[T], Got[0]);
 }
 
 TEST(AnalysisSession, BatchFanoutCreatesExactlyOnePool) {

@@ -235,6 +235,46 @@ TEST(SuiteRunner, DeterministicAcrossJobCounts) {
   EXPECT_EQ(Serial.TotalSubstituted, Par4.TotalSubstituted);
 }
 
+TEST(SuiteRunner, CacheCountersDeterministicAcrossJobCounts) {
+  // Each session's counters are snapshotted by whichever cell finishes
+  // its program last, just before the session is freed; no job count may
+  // lose a counter. The memo counters are left out: which cell records a
+  // value context first depends on scheduling.
+  auto Deterministic = [](const SessionStats &S) {
+    return std::vector<uint64_t>{S.ProcsLowered,  S.ProcsRelowered,
+                                 S.SsaBuilt,      S.SsaReused,
+                                 S.VnBuilt,       S.VnReused,
+                                 S.JfBasesBuilt,  S.JfBasesReused};
+  };
+  auto Configs = allConfigs();
+  // The reference: every program's shared-session cells run by hand on
+  // one session, its counters read after the last one.
+  SessionStats Want;
+  for (const WorkloadProgram &P : extendedSuite()) {
+    DiagnosticEngine Diags;
+    auto Ctx = parseProgram(P.Source, Diags);
+    SymbolTable Symbols = Sema::run(*Ctx, Diags);
+    ASSERT_FALSE(Diags.hasErrors()) << P.Name;
+    AnalysisSession Session(*Ctx, Symbols);
+    for (const SuiteConfig &C : Configs)
+      if (!C.Opts.CompletePropagation)
+        ASSERT_TRUE(runPipelineOnSession(Session, C.Opts).Ok) << P.Name;
+    Want += Session.stats();
+  }
+  EXPECT_GT(Want.JfBasesBuilt, 0u);
+  EXPECT_GT(Want.JfBasesReused, 0u);
+
+  SuiteRunResult Serial = runSuite(extendedSuite(), Configs, 1);
+  EXPECT_EQ(Deterministic(Want), Deterministic(Serial.Cache));
+  for (unsigned Jobs : {4u, 8u}) {
+    SuiteRunResult Par = runSuite(extendedSuite(), Configs, Jobs);
+    EXPECT_EQ(batchFingerprint(Serial), batchFingerprint(Par))
+        << "jobs=" << Jobs;
+    EXPECT_EQ(Deterministic(Serial.Cache), Deterministic(Par.Cache))
+        << "jobs=" << Jobs;
+  }
+}
+
 TEST(SuiteRunner, ConfigSetsAreWellFormed) {
   EXPECT_EQ(table2Configs().size(), 10u);
   EXPECT_EQ(table3Configs().size(), 3u);
