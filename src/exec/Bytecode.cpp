@@ -133,6 +133,7 @@ bool hasLocOperand(Op O) {
   case Op::Mod:
   case Op::Step:
   case Op::CheckCall:
+  case Op::Call:
     return true;
   default:
     return false;

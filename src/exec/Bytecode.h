@@ -108,7 +108,8 @@ enum class Op : uint8_t {
   ArgCellGlobal, ///< A = global slot; buffer the cell.
   ArgCellLocal,  ///< A = frame slot; buffer the cell.
   ArgCellFormal, ///< A = formal index; pass the caller's cell through.
-  Call,          ///< A = callee CodeProgram::Procs index.
+  Call,          ///< A = callee CodeProgram::Procs index; B = loc index
+                 ///< of the call statement (memory-limit trap).
 
   Ret, ///< Pop the frame; from the entry procedure, end the run.
 };
@@ -161,6 +162,10 @@ struct CodeObject {
   /// Formal symbols in parameter order (OnProcEntry hook lookups).
   std::vector<SymbolId> FormalSyms;
   std::vector<LocalArrayInfo> LocalArrays;
+  /// Declared cells of LocalArrays (declaredArrayCells), charged
+  /// against MaxArrayCells on frame entry. Past the budget the array
+  /// offsets above are meaningless: the frame is never built.
+  uint64_t ArrayCells = 0;
 };
 
 /// A whole compiled program.
@@ -181,6 +186,9 @@ struct CodeProgram {
   std::vector<std::pair<uint32_t, int64_t>> GlobalInits;
   std::vector<GlobalArrayInfo> GlobalArrays;
   uint32_t GlobalArraySlots = 0;
+  /// Declared cells of GlobalArrays, charged at run start; past
+  /// MaxArrayCells no global array storage is allocated.
+  uint64_t GlobalArrayCells = 0;
   /// max over Procs of CodeObject::MaxStack.
   uint32_t MaxStack = 0;
 

@@ -57,6 +57,7 @@ public:
       ArraySlot += static_cast<uint32_t>(A.Size);
     }
     CO.FrameSlots = ArraySlot;
+    CO.ArrayCells = declaredArrayCells(P.LocalArrays);
     // Local-array operands were emitted before the table existed (loop
     // temporaries keep moving ArrayBase during the walk); resolve them
     // now.
@@ -299,7 +300,7 @@ private:
           pop();
         }
       }
-      emit(Op::Call, C->callee());
+      emit(Op::Call, C->callee(), locIdx(C->loc()));
       return;
     }
     case StmtKind::If: {
@@ -430,6 +431,7 @@ CodeProgram ipcp::compileProgram(const Program &Prog,
     ArrOffset += static_cast<uint32_t>(A.Size);
   }
   CP.GlobalArraySlots = ArrOffset;
+  CP.GlobalArrayCells = declaredArrayCells(Prog.GlobalArrays);
 
   auto Entry = Prog.entryProc();
   assert(Entry && "bytecode compiler needs a sema-checked program");

@@ -30,6 +30,8 @@ const char *ipcp::runStatusName(RunStatus S) {
     return "step-limit";
   case RunStatus::CallDepthLimit:
     return "call-depth-limit";
+  case RunStatus::MemoryLimit:
+    return "memory-limit";
   }
   return "unknown";
 }
@@ -99,15 +101,19 @@ public:
     for (const GlobalDecl &G : Prog.Globals)
       if (G.Init)
         Globals[G.Symbol] = *G.Init;
-    for (const ArrayDecl &A : Prog.GlobalArrays)
-      GlobalArrays.emplace(A.Symbol,
-                           std::vector<int64_t>(size_t(A.Size), 0));
+    LiveArrayCells = declaredArrayCells(Prog.GlobalArrays);
+    if (LiveArrayCells <= MaxArrayCells)
+      for (const ArrayDecl &A : Prog.GlobalArrays)
+        GlobalArrays.emplace(A.Symbol,
+                             std::vector<int64_t>(size_t(A.Size), 0));
   }
 
   RunResult run() {
     auto Entry = Prog.entryProc();
     assert(Entry && "interpreter needs a sema-checked program");
     try {
+      if (LiveArrayCells > MaxArrayCells)
+        throw TrapSignal{RunStatus::MemoryLimit, SourceLoc()};
       invoke(*Entry, nullptr, SourceLoc());
     } catch (const TrapSignal &T) {
       Res.Status = T.Kind;
@@ -267,6 +273,10 @@ private:
         }
       }
     }
+    uint64_t ArrayCells = declaredArrayCells(P.LocalArrays);
+    if (ArrayCells > MaxArrayCells - LiveArrayCells)
+      throw TrapSignal{RunStatus::MemoryLimit, CallLoc};
+    LiveArrayCells += ArrayCells;
     for (const ArrayDecl &A : P.LocalArrays)
       F->Arrays.emplace(A.Symbol, std::vector<int64_t>(size_t(A.Size), 0));
 
@@ -287,6 +297,7 @@ private:
     }
     execStmts(P.Body);
     Stack.pop_back();
+    LiveArrayCells -= ArrayCells;
   }
 
   Flow execStmts(const std::vector<Stmt *> &Stmts) {
@@ -375,6 +386,9 @@ private:
   RunResult Res;
   std::vector<int64_t> Globals;
   std::unordered_map<SymbolId, std::vector<int64_t>> GlobalArrays;
+  /// Declared cells of the global arrays and every active frame's local
+  /// arrays (charged against MaxArrayCells).
+  uint64_t LiveArrayCells = 0;
   std::vector<std::unique_ptr<Frame>> Stack;
 };
 

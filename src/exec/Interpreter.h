@@ -12,9 +12,9 @@
 /// control flow, a seeded READ stream, and PRINT trace capture. Division
 /// or modulo by zero and out-of-bounds array accesses terminate the run
 /// with a structured trap result rather than aborting the process, and
-/// step/recursion-depth limits bound every run so the translation
-/// validation oracle (exec/Oracle.h) can execute arbitrary generated
-/// programs safely.
+/// step/recursion-depth limits and a fixed array-cell budget bound every
+/// run so the translation validation oracle (exec/Oracle.h) and the
+/// analysis server can execute arbitrary programs safely.
 ///
 /// Observation hooks report every scalar variable read and every
 /// procedure entry; the oracle uses them to check the analyzer's
@@ -44,17 +44,40 @@ enum class RunStatus : uint8_t {
   ArrayBounds,    ///< Array index outside 1..size.
   StepLimit,      ///< RunLimits::MaxSteps exhausted.
   CallDepthLimit, ///< RunLimits::MaxCallDepth exceeded.
+  MemoryLimit,    ///< Declared array cells would exceed MaxArrayCells.
 };
 
 /// Returns a stable lowercase name ("ok", "divide-by-zero", ...).
 const char *runStatusName(RunStatus S);
 
-/// True for the resource-exhaustion statuses. They depend on the step
-/// budget rather than on program semantics, so a semantics-preserving
+/// True for the resource-exhaustion statuses. They depend on the run's
+/// budgets rather than on program semantics, so a semantics-preserving
 /// transform may legitimately move or remove them; only the genuine
 /// traps (and Ok) are portable across translations.
 inline bool isResourceLimit(RunStatus S) {
-  return S == RunStatus::StepLimit || S == RunStatus::CallDepthLimit;
+  return S == RunStatus::StepLimit || S == RunStatus::CallDepthLimit ||
+         S == RunStatus::MemoryLimit;
+}
+
+/// The array cells one run may hold at once: global arrays plus the
+/// local arrays of every active frame. Both engines charge a declaration
+/// against it before allocating — global arrays at run start, a
+/// procedure's local arrays when its frame is entered (refunded on
+/// return) — and trap with RunStatus::MemoryLimit rather than allocate
+/// past it, so a program declaring `array a(4000000000)` gets a
+/// structured answer instead of killing the process. A fixed engine
+/// constant, not a RunLimits field: it protects the process, so no
+/// request may raise it.
+inline constexpr uint64_t MaxArrayCells = uint64_t(1) << 22;
+
+/// The declared cells of \p Arrays, saturating at UINT64_MAX.
+inline uint64_t declaredArrayCells(const std::vector<ArrayDecl> &Arrays) {
+  uint64_t Cells = 0;
+  for (const ArrayDecl &A : Arrays) {
+    uint64_t Size = static_cast<uint64_t>(A.Size);
+    Cells = Size > UINT64_MAX - Cells ? UINT64_MAX : Cells + Size;
+  }
+  return Cells;
 }
 
 /// Resource bounds for one run.

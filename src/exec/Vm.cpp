@@ -112,7 +112,11 @@ RunResult Vm::run(const RunOptions &Opts, const ExecHooks *Hooks) const {
   Scr.Globals.assign(CP.GlobalSyms.size(), 0);
   for (const auto &[Slot, V] : CP.GlobalInits)
     Scr.Globals[Slot] = V;
-  Scr.GlobalArr.assign(CP.GlobalArraySlots, 0);
+  // Array cells are charged against MaxArrayCells before any storage
+  // exists: past the budget the global arrays are never allocated.
+  uint64_t LiveArrayCells = CP.GlobalArrayCells;
+  const bool GlobalArraysFit = LiveArrayCells <= MaxArrayCells;
+  Scr.GlobalArr.assign(GlobalArraysFit ? CP.GlobalArraySlots : 0, 0);
   Scr.Stack.resize(CP.MaxStack);
   Scr.Args.clear();
   int64_t *const GV = Scr.Globals.data();
@@ -137,12 +141,13 @@ RunResult Vm::run(const RunOptions &Opts, const ExecHooks *Hooks) const {
     Res.FinalGlobals.assign(CP.NumSymbols, 0);
     for (size_t I = 0; I != CP.GlobalSyms.size(); ++I)
       Res.FinalGlobals[CP.GlobalSyms[I]] = Globals[I];
-    for (const GlobalArrayInfo &AI : CP.GlobalArrays)
-      Res.FinalGlobalArrays.emplace_back(
-          AI.Symbol,
-          std::vector<int64_t>(GlobalArr.begin() + AI.Offset,
-                               GlobalArr.begin() + AI.Offset +
-                                   static_cast<size_t>(AI.Size)));
+    if (GlobalArraysFit)
+      for (const GlobalArrayInfo &AI : CP.GlobalArrays)
+        Res.FinalGlobalArrays.emplace_back(
+            AI.Symbol,
+            std::vector<int64_t>(GlobalArr.begin() + AI.Offset,
+                                 GlobalArr.begin() + AI.Offset +
+                                     static_cast<size_t>(AI.Size)));
     std::sort(Res.FinalGlobalArrays.begin(), Res.FinalGlobalArrays.end(),
               [](const auto &A, const auto &B) { return A.first < B.first; });
   };
@@ -177,14 +182,21 @@ RunResult Vm::run(const RunOptions &Opts, const ExecHooks *Hooks) const {
     Hooks->OnProcEntry(P, std::function<const int64_t *(SymbolId)>(Lookup));
   };
 
-  // The entry "call": depth-checked like every invoke(), before any
-  // frame exists, with an invalid call location.
-  if (Depth + 1 > MaxDepth) {
-    Res.Status = RunStatus::CallDepthLimit;
+  // The entry "call": depth- and array-checked like every invoke(),
+  // before any frame exists, with an invalid call location.
+  const CodeObject *CO = &CP.Procs[CP.Entry];
+  RunStatus EntryTrap =
+      !GlobalArraysFit         ? RunStatus::MemoryLimit
+      : Depth + 1 > MaxDepth   ? RunStatus::CallDepthLimit
+      : CO->ArrayCells > MaxArrayCells - LiveArrayCells
+          ? RunStatus::MemoryLimit
+          : RunStatus::Ok;
+  if (EntryTrap != RunStatus::Ok) {
+    Res.Status = EntryTrap;
     capture();
     return Res;
   }
-  const CodeObject *CO = &CP.Procs[CP.Entry];
+  LiveArrayCells += CO->ArrayCells;
   {
     Frame &F = pushFrame(*CO);
     // The entry procedure receives no actuals; any formals it declares
@@ -483,6 +495,9 @@ RunResult Vm::run(const RunOptions &Opts, const ExecHooks *Hooks) const {
       VM_CASE(Call)
       const CodeObject &Callee = CP.Procs[I.A];
       assert(Args.size() == Callee.NumFormals && "arity checked by sema");
+      if (Callee.ArrayCells > MaxArrayCells - LiveArrayCells)
+        IPCP_VM_TRAP(MemoryLimit);
+      LiveArrayCells += Callee.ArrayCells;
       Frame &F = pushFrame(Callee);
       F.RetCode = CO;
       F.RetIp = Ip;
@@ -509,6 +524,7 @@ RunResult Vm::run(const RunOptions &Opts, const ExecHooks *Hooks) const {
       --Depth;
       if (Depth == 0)
         goto done;
+      LiveArrayCells -= CO->ArrayCells;
       Frame &F = Frames[Depth]; // The frame being popped.
       CO = F.RetCode;
       Code = CO->Code.data() + F.RetIp;

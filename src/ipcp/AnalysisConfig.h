@@ -7,17 +7,16 @@
 /// \file
 /// Every external spelling of an analyzer configuration comes from the
 /// tables in this header: the driver's flags, the serve protocol's
-/// `config` object and cache key, the summary and shard-job config
-/// blocks, the report header, and the analysis session's jump-function
-/// base key. Adding a boolean analysis flag is one AnalysisFlags row (plus
+/// `config` object and cache key, the summary config block, the report
+/// header, and the analysis session's jump-function base key. Adding a boolean analysis flag is one AnalysisFlags row (plus
 /// the PipelineOptions field and the analysis code it gates); every codec
 /// below picks it up.
 ///
 /// A JSON config object comes in two scopes. A serve request carries the
 /// whole configuration, every member optional (absent = default). A
-/// summary or shard job carries only what changes the jump functions
-/// built — the kind and the JumpFunctions rows — and there the kind and
-/// the Wire::Always rows are required.
+/// summary carries only what changes the jump functions built — the
+/// kind and the JumpFunctions rows — and there the kind and the
+/// Wire::Always rows are required.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +62,7 @@ const char *solverStrategyToken(SolverStrategy S);
 
 /// How a flag appears in a JSON config object.
 enum class Wire : uint8_t {
-  /// Always written; required in summary and shard-job blocks.
+  /// Always written; required in summary blocks.
   Always,
   /// Written only when set off its default, so documents from before the
   /// flag existed keep their exact bytes; optional everywhere.
@@ -83,8 +82,8 @@ struct AnalysisFlag {
   /// Driver usage text.
   const char *Help;
   Wire Policy;
-  /// Changes the jump functions built: carried in summaries and shard
-  /// jobs, and part of the session's jump-function base key.
+  /// Changes the jump functions built: carried in summaries, and part
+  /// of the session's jump-function base key.
   bool JumpFunctions;
   /// Report-header text when the flag is true / false.
   const char *LabelOn;
@@ -121,7 +120,7 @@ inline constexpr AnalysisFlag AnalysisFlags[] = {
 
 /// The serve request's `config` object: the whole configuration.
 JsonValue configJson(const PipelineOptions &O);
-/// The summary / shard-job `config` object: the jump-function part.
+/// The summary `config` object: the jump-function part.
 JsonValue jumpFunctionConfigJson(const JumpFunctionOptions &O);
 
 /// Strict decoders of the two scopes: unknown members, ill-typed values

@@ -197,7 +197,7 @@ ProgramJumpFunctions buildJumpFunctions(const Module &M,
 /// Opts.UseMod), the by-reference alias facts, and the flow-alias and
 /// copy facts when their flags are set. Every caller that wants "the jump
 /// functions this configuration analyzes with" — the pipeline, summary
-/// export, shard workers, --dump-jf — goes through here.
+/// export, --dump-jf — goes through here.
 ProgramJumpFunctions buildJumpFunctions(AnalysisSession &Session,
                                         const JumpFunctionOptions &Opts,
                                         ThreadPool *Pool = nullptr);

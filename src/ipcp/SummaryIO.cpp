@@ -8,6 +8,7 @@
 
 #include "ipcp/AnalysisConfig.h"
 #include "ipcp/AnalysisSession.h"
+#include "lang/Parser.h"
 #include "serve/Json.h"
 
 #include <algorithm>
@@ -415,129 +416,37 @@ bool ipcp::parseSummary(std::string_view Text, ProgramSummary &Out,
   return true;
 }
 
-ProgramSummary ipcp::makeSummary(std::string ProgramName, uint64_t SourceHash,
-                                 const Module &M, const SymbolTable &Symbols,
-                                 const CallGraph &CG,
-                                 const ProgramJumpFunctions &Jfs,
-                                 const RefAliasInfo *Aliases,
-                                 const std::vector<ProcId> &Procs) {
-  ProgramSummary S;
-  S.Program = std::move(ProgramName);
-  S.SourceHash = SourceHash;
-  S.Options = Jfs.Options;
-  S.GvnPhiMerges = Jfs.Stats.NumGvnPhiMerges;
-  S.NumProcs = CG.numProcs();
-  S.NumGlobals = Symbols.globalScalars().size();
-
-  std::vector<ProcId> Cover = Procs;
-  if (Cover.empty())
-    for (ProcId P = 0; P < S.NumProcs; ++P)
-      Cover.push_back(P);
-  std::sort(Cover.begin(), Cover.end());
-
-  for (ProcId P : Cover) {
-    ProcSummary PS;
-    PS.Proc = P;
-    PS.Name = M.function(P).name();
-    for (const CallSiteJumpFunctions &Site : Jfs.PerSite.at(P)) {
-      CallSiteJumpFunctions Copy;
-      for (const JumpFunction &J : Site.Args)
-        Copy.Args.push_back(J.clone());
-      for (const JumpFunction &J : Site.Globals)
-        Copy.Globals.push_back(J.clone());
-      PS.Sites.push_back(std::move(Copy));
-    }
-    for (const auto &[Sym, J] : Jfs.ReturnJfs.at(P))
-      PS.Returns.emplace_back(Sym, J.clone());
-    std::sort(PS.Returns.begin(), PS.Returns.end(),
-              [](const auto &A, const auto &B) { return A.first < B.first; });
-    if (Aliases) {
-      const std::vector<uint8_t> &Mask = Aliases->unstableMask(P);
-      for (SymbolId Sym = 0; Sym < Mask.size(); ++Sym)
-        if (Mask[Sym])
-          PS.AliasUnstable.push_back(Sym);
-    }
-    S.Procs.push_back(std::move(PS));
-  }
-  return S;
-}
-
 ProgramSummary ipcp::buildSummary(AnalysisSession &Session,
                                   const JumpFunctionOptions &Opts,
                                   std::string ProgramName, uint64_t SourceHash,
                                   ThreadPool *Pool) {
   ProgramJumpFunctions Jfs = buildJumpFunctions(Session, Opts, Pool);
-  return makeSummary(std::move(ProgramName), SourceHash, Session.module(),
-                     Session.symbols(), Session.callGraph(), Jfs,
-                     &Session.refAlias(Opts.UseMod));
-}
+  const Module &M = Session.module();
+  const RefAliasInfo &Aliases = Session.refAlias(Opts.UseMod);
+  ProgramSummary S;
+  S.Program = std::move(ProgramName);
+  S.SourceHash = SourceHash;
+  S.Options = Jfs.Options;
+  S.GvnPhiMerges = Jfs.Stats.NumGvnPhiMerges;
+  S.NumProcs = Session.callGraph().numProcs();
+  S.NumGlobals = Session.symbols().globalScalars().size();
 
-bool ipcp::mergeSummaries(std::vector<ProgramSummary> Parts,
-                          ProgramSummary &Out, std::string &Error) {
-  if (Parts.empty()) {
-    Error = "no summary parts to merge";
-    return false;
+  for (ProcId P = 0; P < S.NumProcs; ++P) {
+    ProcSummary PS;
+    PS.Proc = P;
+    PS.Name = M.function(P).name();
+    PS.Sites = std::move(Jfs.PerSite[P]);
+    for (auto &[Sym, J] : Jfs.ReturnJfs[P])
+      PS.Returns.emplace_back(Sym, std::move(J));
+    std::sort(PS.Returns.begin(), PS.Returns.end(),
+              [](const auto &A, const auto &B) { return A.first < B.first; });
+    const std::vector<uint8_t> &Mask = Aliases.unstableMask(P);
+    for (SymbolId Sym = 0; Sym < Mask.size(); ++Sym)
+      if (Mask[Sym])
+        PS.AliasUnstable.push_back(Sym);
+    S.Procs.push_back(std::move(PS));
   }
-  ProgramSummary Merged;
-  const ProgramSummary &First = Parts.front();
-  Merged.Program = First.Program;
-  Merged.SourceHash = First.SourceHash;
-  Merged.Options = First.Options;
-  Merged.GvnPhiMerges = First.GvnPhiMerges;
-  Merged.NumProcs = First.NumProcs;
-  Merged.NumGlobals = First.NumGlobals;
-
-  std::vector<int> Owner(Merged.NumProcs, -1);
-  for (size_t I = 0; I < Parts.size(); ++I) {
-    ProgramSummary &Part = Parts[I];
-    if (Part.Program != Merged.Program) {
-      Error = "part " + std::to_string(I) + " summarizes program '" +
-              Part.Program + "', not '" + Merged.Program + "'";
-      return false;
-    }
-    if (Part.SourceHash != Merged.SourceHash) {
-      Error = "part " + std::to_string(I) +
-              " was built from different source text (hash mismatch)";
-      return false;
-    }
-    if (Part.Options != Merged.Options ||
-        Part.GvnPhiMerges != Merged.GvnPhiMerges) {
-      Error = "part " + std::to_string(I) +
-              " was built under a different configuration";
-      return false;
-    }
-    if (Part.NumProcs != Merged.NumProcs ||
-        Part.NumGlobals != Merged.NumGlobals) {
-      Error = "part " + std::to_string(I) + " disagrees on program shape";
-      return false;
-    }
-    for (ProcSummary &P : Part.Procs) {
-      if (P.Proc >= Merged.NumProcs) {
-        Error = "part " + std::to_string(I) + " covers out-of-range procedure";
-        return false;
-      }
-      if (Owner[P.Proc] >= 0) {
-        Error = "procedure '" + P.Name + "' (id " + std::to_string(P.Proc) +
-                ") appears in parts " + std::to_string(Owner[P.Proc]) +
-                " and " + std::to_string(I) + " — overlapping partition";
-        return false;
-      }
-      Owner[P.Proc] = int(I);
-      Merged.Procs.push_back(std::move(P));
-    }
-  }
-  for (ProcId P = 0; P < Merged.NumProcs; ++P)
-    if (Owner[P] < 0) {
-      Error = "no part covers procedure id " + std::to_string(P) +
-              " — gapped partition";
-      return false;
-    }
-  std::sort(Merged.Procs.begin(), Merged.Procs.end(),
-            [](const ProcSummary &A, const ProcSummary &B) {
-              return A.Proc < B.Proc;
-            });
-  Out = std::move(Merged);
-  return true;
+  return S;
 }
 
 bool ipcp::reconstituteJumpFunctions(const ProgramSummary &S, const Module &M,
@@ -623,14 +532,37 @@ bool ipcp::reconstituteJumpFunctions(const ProgramSummary &S, const Module &M,
   return true;
 }
 
-bool ipcp::solveSummary(const ProgramSummary &S, const Module &M,
-                        const SymbolTable &Symbols, const CallGraph &CG,
-                        SolverStrategy Strategy, SolveResult &Out,
-                        std::string &Error, ValueContextMemo *Memo) {
+PipelineResult ipcp::runPipelineFromSummary(std::string_view SummaryText,
+                                            std::string_view Source,
+                                            const PipelineOptions &Opts,
+                                            const std::string &SummaryName) {
+  auto Fail = [](std::string Message) {
+    PipelineResult Failed;
+    Failed.Error = std::move(Message);
+    return Failed;
+  };
+  ProgramSummary S;
+  std::string Error;
+  if (!parseSummary(SummaryText, S, Error))
+    return Fail("error: " + SummaryName + ": " + Error + "\n");
+  DiagnosticEngine Diags;
+  auto Ctx = parseProgram(Source, Diags);
+  SymbolTable Symbols;
+  if (!Diags.hasErrors())
+    Symbols = Sema::run(*Ctx, Diags);
+  if (Diags.hasErrors())
+    return Fail(Diags.str());
+  if (S.Options != Opts)
+    return Fail("error: '" + SummaryName +
+                "' was built under a different jump-function configuration "
+                "than the one selected\n");
+  if (S.SourceHash != summarySourceHash(Source))
+    return Fail("error: '" + SummaryName +
+                "' summarizes a different source than the one loaded\n");
+  AnalysisSession Session(*Ctx, Symbols);
   ProgramJumpFunctions Jfs;
-  if (!reconstituteJumpFunctions(S, M, Symbols, CG, Jfs, Error))
-    return false;
-  Out = solveConstants(Symbols, CG, Jfs, Strategy, /*Feedback=*/nullptr,
-                       /*Cancel=*/nullptr, Memo);
-  return true;
+  if (!reconstituteJumpFunctions(S, Session.module(), Symbols,
+                                 Session.callGraph(), Jfs, Error))
+    return Fail("error: " + SummaryName + ": " + Error + "\n");
+  return runPipelineOnSession(Session, Opts, &Jfs);
 }

@@ -5,14 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The distributed tier's interchange format: per-procedure jump-function
+/// The jump-function interchange format: per-procedure jump-function
 /// summaries as versioned, canonical JSON — the analogue of libosuction's
-/// per-TU jump-function files, which cooperating compiler processes write
-/// independently and a merge step folds into one whole-program
-/// propagation. A summary carries, per procedure, the forward jump
-/// functions of every call site, the return jump functions, and the
-/// alias-unstable mask the builder saw; every jump function is stored as
-/// its extensional fingerprint (JumpFunction::appendFingerprint), so
+/// per-TU jump-function files, which a compiler process writes and a
+/// later whole-program propagation loads instead of rebuilding them
+/// (`ipcp-driver --summary-out` / `--summary-in`). A summary carries, per
+/// procedure, the forward jump functions of every call site, the return
+/// jump functions, and the alias-unstable mask the builder saw; every
+/// jump function is stored as its extensional fingerprint
+/// (JumpFunction::appendFingerprint), so
 ///
 ///   * serialization is deterministic: equal summaries produce equal
 ///     bytes (JsonValue keeps object keys sorted, fingerprints are exact
@@ -23,12 +24,13 @@
 ///     groups reconstituted functions with freshly built ones.
 ///
 /// Robustness contract (summary files cross process boundaries, like the
-/// fuzz corpus and the serve protocol): parseSummary, mergeSummaries and
-/// reconstituteJumpFunctions never abort on malformed input. Truncated
-/// files, version skew, unknown fields, out-of-range ids, fingerprint
-/// garbage, stats that disagree with content, and overlapping or gapped
-/// partitions all produce a diagnostic and a clean failure — a summary is
-/// either loaded exactly or rejected loudly, never silently merged.
+/// fuzz corpus and the serve protocol): parseSummary,
+/// reconstituteJumpFunctions and runPipelineFromSummary never abort on
+/// malformed input. Truncated files, version skew, unknown fields,
+/// out-of-range ids, fingerprint garbage, stats that disagree with
+/// content, partial summaries, and summaries of another configuration or
+/// source all produce a diagnostic and a clean failure — a summary is
+/// either loaded exactly or rejected loudly, never silently applied.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +38,7 @@
 #define IPCP_IPCP_SUMMARYIO_H
 
 #include "ipcp/JumpFunctionBuilder.h"
-#include "ipcp/Solver.h"
+#include "ipcp/Pipeline.h"
 
 #include <cstdint>
 #include <string>
@@ -88,8 +90,8 @@ struct ProgramSummary {
   /// Whole-program shape guards: procedure and global-scalar counts.
   size_t NumProcs = 0;
   size_t NumGlobals = 0;
-  /// Covered procedures, ascending by ProcId. A partial summary (one
-  /// shard's slice) covers a subset; mergeSummaries assembles full ones.
+  /// Covered procedures, ascending by ProcId. The format admits a
+  /// partial summary (a subset); only a complete one reconstitutes.
   std::vector<ProcSummary> Procs;
 
   ProgramSummary() = default;
@@ -120,29 +122,12 @@ std::string serializeSummary(const ProgramSummary &S);
 bool parseSummary(std::string_view Text, ProgramSummary &Out,
                   std::string &Error);
 
-/// Extracts the summary of \p Procs (empty = every procedure) from a
-/// built ProgramJumpFunctions. \p Aliases may be null (no by-reference
-/// aliasing analyzed — the masks serialize empty).
-ProgramSummary makeSummary(std::string ProgramName, uint64_t SourceHash,
-                           const Module &M, const SymbolTable &Symbols,
-                           const CallGraph &CG,
-                           const ProgramJumpFunctions &Jfs,
-                           const RefAliasInfo *Aliases,
-                           const std::vector<ProcId> &Procs = {});
-
 /// Builds the full summary of one checked program through \p Session's
 /// caches (byte-identical to a cold build; see JumpFunctionBuilder).
 ProgramSummary buildSummary(AnalysisSession &Session,
                             const JumpFunctionOptions &Opts,
                             std::string ProgramName, uint64_t SourceHash,
                             ThreadPool *Pool = nullptr);
-
-/// Merges per-procedure partial summaries into one complete summary.
-/// Every part must agree on program, source hash, configuration, and
-/// shape; the covered procedure sets must neither overlap nor leave a
-/// gap. Any violation fails loudly with a diagnostic naming the part.
-bool mergeSummaries(std::vector<ProgramSummary> Parts, ProgramSummary &Out,
-                    std::string &Error);
 
 /// Reconstitutes a complete summary into solver-ready jump functions,
 /// validating its shape against the program actually loaded: procedure
@@ -153,13 +138,21 @@ bool reconstituteJumpFunctions(const ProgramSummary &S, const Module &M,
                                const CallGraph &CG,
                                ProgramJumpFunctions &Out, std::string &Error);
 
-/// The loader's end state: reconstitutes \p S and runs the
-/// interprocedural propagation over it — stage 3 from a file instead of
-/// a same-process stage 2. \p Memo may be null.
-bool solveSummary(const ProgramSummary &S, const Module &M,
-                  const SymbolTable &Symbols, const CallGraph &CG,
-                  SolverStrategy Strategy, SolveResult &Out,
-                  std::string &Error, ValueContextMemo *Memo = nullptr);
+/// The summary loader (`ipcp-driver --summary-in`): stage 3 from a file
+/// instead of a same-process stage 2. Parses \p SummaryText, checks
+/// \p Source through the frontend, rejects a summary built under a
+/// jump-function configuration other than \p Opts' or from other source
+/// text, reconstitutes the functions against the loaded program, and
+/// runs solve + substitution over them (runPipelineOnSession with
+/// preloaded functions). When the summary is \p Opts' build of
+/// \p Source, the result is byte-identical to runPipeline(Source, Opts),
+/// timings excepted. On failure Result.Error holds the complete
+/// diagnostic text (newline-terminated lines, the summary named as
+/// \p SummaryName); pipeline errors pass through unchanged.
+PipelineResult runPipelineFromSummary(std::string_view SummaryText,
+                                      std::string_view Source,
+                                      const PipelineOptions &Opts,
+                                      const std::string &SummaryName);
 
 } // namespace ipcp
 

@@ -55,9 +55,8 @@ Subprocess &Subprocess::operator=(Subprocess &&Other) noexcept {
 bool Subprocess::spawn(const std::vector<std::string> &Argv,
                        const std::string &StdoutPath,
                        const std::string &StderrPath, std::string &Error) {
-  // A reaped child may be replaced — the shard coordinator reuses a
-  // partition's slot when it reassigns a crashed worker. Only spawning
-  // over a live (unreaped) child is a bug.
+  // A reaped child may be replaced by a fresh one in the same slot.
+  // Only spawning over a live (unreaped) child is a bug.
   assert((Pid <= 0 || Waited) && "spawn() on a live Subprocess");
   if (Argv.empty()) {
     Error = "empty argv";

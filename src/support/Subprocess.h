@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The minimal process-spawning layer the distributed tier needs: the
-/// shard coordinator forks ipcp-driver workers and the serve router
-/// forks ipcp-serve backends, both communicating through files or TCP —
-/// never through inherited descriptors, so a child is fully described by
-/// its argv. POSIX-only, like the TCP transport.
+/// The minimal process-spawning layer the serve router needs: it forks
+/// ipcp-serve backends and talks to them over TCP — never through
+/// inherited descriptors, so a child is fully described by its argv.
+/// POSIX-only, like the TCP transport.
 ///
 /// Waiting distinguishes clean exits from crashes (signals, nonzero
 /// status): the coordinator's crash-recovery path keys off that
@@ -77,8 +76,8 @@ private:
 };
 
 /// Absolute path of the running executable (/proc/self/exe); empty on
-/// failure. The shard worker re-execs itself through this, so tests and
-/// benches never guess at install locations.
+/// failure. The router spawns this binary when no serve binary is named,
+/// so an ipcp-serve front tier never guesses at install locations.
 std::string currentExecutablePath();
 
 } // namespace ipcp

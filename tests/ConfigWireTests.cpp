@@ -3,8 +3,8 @@
 // Part of the ipcp project (Grove & Torczon, PLDI 1993 reproduction).
 //
 // Pins every external spelling of an analyzer configuration: the serve
-// request's `config` object, the serve cache key, the summary and
-// shard-job config blocks, the report header line, and the driver flags.
+// request's `config` object, the serve cache key, the summary config
+// block, the report header line, and the driver flags.
 // The configurations are the suite's (Table 2 + Table 3), the fuzzer's,
 // the default, and each flag set alone. The driver spelling is checked
 // end to end: the real binary, given those flags, must print the header
@@ -20,7 +20,6 @@
 #include "serve/Json.h"
 #include "serve/Protocol.h"
 #include "serve/Render.h"
-#include "workloads/ShardedSuite.h"
 #include "workloads/SuiteRunner.h"
 
 #include <gtest/gtest.h>
@@ -201,20 +200,6 @@ std::string summaryConfig(const PipelineOptions &O) {
   return configMember(parseOrFail(Text));
 }
 
-std::string shardConfig(const PipelineOptions &O) {
-  ShardJob Job;
-  Job.JobMode = ShardJob::Mode::Summary;
-  Job.Config = jfOptionsOf(O);
-  Job.Programs.push_back({"p", "proc main()\nend\n"});
-  std::string Text = serializeShardJob(Job);
-
-  ShardJob Back;
-  std::string Error;
-  EXPECT_TRUE(parseShardJob(Text, Back, Error)) << Error;
-  EXPECT_EQ(Text, serializeShardJob(Back));
-  return configMember(parseOrFail(Text));
-}
-
 std::string headerLine(const PipelineOptions &O) {
   std::string Report =
       renderAnalysisReport(O, PipelineResult(), ReportOptions());
@@ -229,7 +214,6 @@ std::string renderWire() {
        << "request: " << requestConfig(C.Opts) << "\n"
        << "key: " << configKey(C.Opts, ReportOptions()) << "\n"
        << "summary: " << summaryConfig(C.Opts) << "\n"
-       << "shard: " << shardConfig(C.Opts) << "\n"
        << "header: " << headerLine(C.Opts) << "\n";
   }
   return OS.str();

@@ -1,45 +1,29 @@
-//===- tests/DistributedTests.cpp - The distributed-analysis wall ---------===//
+//===- tests/DistributedTests.cpp - The serve router wall -----------------===//
 //
 // Part of the ipcp project (Grove & Torczon, PLDI 1993 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The 'check-dist' label: multi-process sharded suite runs and the
-/// ipcp-serve shard router must be invisible to results.
-///
-///   * The full (12 programs x 13 configs) grid and 30 random-seed
-///     programs come back byte-identical (deterministic fields) from
-///     runShardedSuite vs a single-process runSuite.
-///   * A worker crash mid-partition is recovered by reassignment with
-///     an identical grid; exhausted retries fail loudly, naming the
-///     partition. Garbled job/result files are rejected, not guessed at.
-///   * runShardedAnalysis renders the same report as a local
-///     runPipeline, including after a crash-and-reassign.
-///   * The router forwards byte-identically (in-process and through
-///     ipcp-driver --server-url against a spawned fleet), answers
-///     malformed lines locally, survives backend death by rehash +
-///     retry, degrades to structured `overloaded` when the whole fleet
-///     is dead, and shuts down cleanly under concurrent traffic and a
-///     concurrent kill (the TSan target for the lock-free teardown).
+/// The 'check-dist' label: the ipcp-serve front-tier router must be
+/// invisible to results. It forwards byte-identically (in-process and
+/// through ipcp-driver --server-url against a spawned fleet), answers
+/// malformed lines locally, survives backend death by rehash + retry,
+/// degrades to structured `overloaded` when the whole fleet is dead, and
+/// shuts down cleanly under concurrent traffic and a concurrent kill (the
+/// TSan target for the lock-free teardown).
 ///
 /// tools/verify.sh runs the label under the default and asan presets,
-/// and the router tests under tsan.
+/// and under tsan.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "ipcp/Pipeline.h"
 #include "serve/Client.h"
 #include "serve/Json.h"
 #include "serve/Protocol.h"
-#include "serve/Render.h"
 #include "serve/Router.h"
 #include "serve/Server.h"
 #include "serve/Transport.h"
-#include "workloads/RandomProgram.h"
-#include "workloads/ShardedSuite.h"
-#include "workloads/Suite.h"
-#include "workloads/SuiteRunner.h"
 
 #include <gtest/gtest.h>
 
@@ -53,35 +37,6 @@
 using namespace ipcp;
 
 namespace {
-
-ShardSpawnOptions workerSpawn() {
-  ShardSpawnOptions S;
-#ifdef IPCP_DRIVER_PATH
-  S.WorkerBinary = IPCP_DRIVER_PATH;
-#endif
-  return S;
-}
-
-/// Asserts the sharded grid equals the single-process one on every
-/// deterministic field.
-void expectGridsEqual(const SuiteRunResult &Local,
-                      const ShardedSuiteResult &Sharded) {
-  ASSERT_TRUE(Sharded.Ok) << Sharded.Error;
-  ASSERT_EQ(Local.NumPrograms, Sharded.NumPrograms);
-  ASSERT_EQ(Local.NumConfigs, Sharded.NumConfigs);
-  ASSERT_EQ(Local.Cells.size(), Sharded.Cells.size());
-  for (size_t I = 0; I < Local.Cells.size(); ++I) {
-    const SuiteCell &L = Local.Cells[I];
-    const ShardCellResult &S = Sharded.Cells[I];
-    EXPECT_EQ(L.Program, S.Program) << "cell " << I;
-    EXPECT_EQ(L.Config, S.Config) << "cell " << I;
-    EXPECT_EQ(L.Ok, S.Ok) << L.Program << " / " << L.Config;
-    EXPECT_EQ(L.SubstitutedConstants, S.SubstitutedConstants)
-        << L.Program << " / " << L.Config;
-    EXPECT_EQ(L.ConstantPrints, S.ConstantPrints)
-        << L.Program << " / " << L.Config;
-  }
-}
 
 JsonValue parsedReply(const std::string &ReplyLine) {
   std::string Err;
@@ -109,214 +64,6 @@ std::string distinctProgram(unsigned I) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Sharded suite runs: byte-identity with the single process
-//===----------------------------------------------------------------------===//
-
-TEST(ShardedSuite, FullGridMatchesSingleProcess) {
-  const std::vector<WorkloadProgram> &Programs = benchmarkSuite();
-  std::vector<SuiteConfig> Configs = configsByName("all");
-
-  SuiteRunResult Local = runSuite(Programs, Configs);
-
-  ShardedSuiteOptions Opts;
-  Opts.NumWorkers = 4;
-  Opts.ConfigSet = "all";
-  Opts.Spawn = workerSpawn();
-  ShardedSuiteResult Sharded = runShardedSuite(Programs, Opts);
-
-  EXPECT_EQ(4u, Sharded.WorkersSpawned);
-  EXPECT_EQ(0u, Sharded.WorkerCrashes);
-  expectGridsEqual(Local, Sharded);
-}
-
-TEST(ShardedSuite, RandomProgramsMatchSingleProcess) {
-  std::vector<WorkloadProgram> Programs;
-  for (uint64_t Seed = 1; Seed <= 30; ++Seed) {
-    RandomSpec Spec;
-    Spec.Seed = Seed;
-    WorkloadProgram W{};
-    W.Name = "rand" + std::to_string(Seed);
-    W.Source = generateRandomProgram(Spec);
-    Programs.push_back(std::move(W));
-  }
-
-  SuiteRunResult Local = runSuite(Programs, configsByName("all"));
-
-  ShardedSuiteOptions Opts;
-  Opts.NumWorkers = 3;
-  Opts.ConfigSet = "all";
-  Opts.Spawn = workerSpawn();
-  ShardedSuiteResult Sharded = runShardedSuite(Programs, Opts);
-  expectGridsEqual(Local, Sharded);
-}
-
-TEST(ShardedSuite, CrashedWorkerPartitionIsReassigned) {
-  const std::vector<WorkloadProgram> &Suite = benchmarkSuite();
-  std::vector<WorkloadProgram> Programs(Suite.begin(), Suite.begin() + 6);
-
-  SuiteRunResult Local = runSuite(Programs, configsByName("table2"));
-
-  ShardedSuiteOptions Opts;
-  Opts.NumWorkers = 3;
-  Opts.ConfigSet = "table2";
-  Opts.Spawn = workerSpawn();
-  Opts.Spawn.CrashPartitionIndex = 1;
-  Opts.Spawn.CrashAfterCells = 1; // Die mid-partition, not before work.
-  ShardedSuiteResult Sharded = runShardedSuite(Programs, Opts);
-
-  EXPECT_GE(Sharded.WorkerCrashes, 1u);
-  EXPECT_GE(Sharded.PartitionsReassigned, 1u);
-  expectGridsEqual(Local, Sharded);
-}
-
-TEST(ShardedSuite, ExhaustedRetriesFailLoudly) {
-  const std::vector<WorkloadProgram> &Suite = benchmarkSuite();
-  std::vector<WorkloadProgram> Programs(Suite.begin(), Suite.begin() + 2);
-
-  ShardedSuiteOptions Opts;
-  Opts.NumWorkers = 2;
-  Opts.ConfigSet = "table2";
-  Opts.Spawn = workerSpawn();
-  Opts.Spawn.MaxAttempts = 1; // No recovery budget: the crash is fatal.
-  Opts.Spawn.CrashPartitionIndex = 0;
-  Opts.Spawn.CrashAfterCells = 0;
-  ShardedSuiteResult Sharded = runShardedSuite(Programs, Opts);
-
-  EXPECT_FALSE(Sharded.Ok);
-  EXPECT_NE(std::string::npos, Sharded.Error.find("partition"))
-      << Sharded.Error;
-  EXPECT_GE(Sharded.WorkerCrashes, 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Job/result file hardening: parse-or-reject, never guess
-//===----------------------------------------------------------------------===//
-
-TEST(ShardFiles, JobRoundTripsAndRejectsGarbage) {
-  ShardJob Job;
-  Job.JobMode = ShardJob::Mode::Cells;
-  Job.ConfigSet = "table3";
-  Job.Programs.push_back({"p1", "proc main()\n  print 1\nend\n"});
-  Job.Programs.push_back({"p2", "proc main()\n  print 2\nend\n"});
-
-  std::string Text = serializeShardJob(Job);
-  ShardJob Back;
-  std::string Error;
-  ASSERT_TRUE(parseShardJob(Text, Back, Error)) << Error;
-  EXPECT_EQ(serializeShardJob(Back), Text);
-
-  for (const std::string &Bad : {
-           std::string("not json at all"),
-           std::string("[1,2,3]"),
-           Text.substr(0, Text.size() / 2),
-           std::string("{\"format\":\"ipcp-shard-job\",\"version\":99}"),
-           std::string("{\"format\":\"ipcp-summary\",\"version\":1}"),
-       }) {
-    ShardJob Out;
-    std::string Err;
-    EXPECT_FALSE(parseShardJob(Bad, Out, Err)) << Bad;
-    EXPECT_FALSE(Err.empty()) << Bad;
-  }
-}
-
-TEST(ShardFiles, ResultRoundTripsAndRejectsGarbage) {
-  ShardResult R;
-  R.Cells.push_back({"p1", "poly", true, 4, 2});
-  R.Cells.push_back({"p1", "pass", true, 3, 1});
-  R.Summaries.push_back("{\"format\":\"ipcp-summary\"}");
-
-  std::string Text = serializeShardResult(R);
-  ShardResult Back;
-  std::string Error;
-  ASSERT_TRUE(parseShardResult(Text, Back, Error)) << Error;
-  EXPECT_EQ(serializeShardResult(Back), Text);
-
-  for (const std::string &Bad : {
-           std::string(""),
-           Text.substr(0, Text.size() - 3),
-           std::string("{\"format\":\"ipcp-shard-result\",\"version\":2}"),
-           std::string("{\"format\":\"ipcp-shard-job\",\"version\":1}"),
-       }) {
-    ShardResult Out;
-    std::string Err;
-    EXPECT_FALSE(parseShardResult(Bad, Out, Err)) << Bad;
-    EXPECT_FALSE(Err.empty()) << Bad;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Sharded analysis: merged summaries render the local report
-//===----------------------------------------------------------------------===//
-
-TEST(ShardedAnalysis, MatchesLocalPipelineReport) {
-  const std::vector<WorkloadProgram> &Suite = extendedSuite();
-  ReportOptions Report;
-  Report.Stats = true;
-
-  for (const char *ProgramName : {"trfd", "ocean", "doduc", "copychains"}) {
-    const WorkloadProgram *W = nullptr;
-    for (const WorkloadProgram &P : Suite)
-      if (P.Name == ProgramName)
-        W = &P;
-    ASSERT_NE(nullptr, W);
-
-    for (const SuiteConfig &C : allConfigs()) {
-      // Neither has a stage 2 to shard (RejectsNonShardableConfigs).
-      if (C.Opts.CompletePropagation || C.Opts.IntraproceduralOnly)
-        continue;
-      PipelineResult Local = runPipeline(W->Source, C.Opts);
-      ASSERT_TRUE(Local.Ok) << Local.Error;
-
-      ShardedAnalysisOptions SOpts;
-      SOpts.NumShards = 3;
-      SOpts.Spawn = workerSpawn();
-      ShardedAnalysisResult Sharded =
-          runShardedAnalysis(W->Name, W->Source, C.Opts, SOpts);
-      ASSERT_TRUE(Sharded.Ok) << Sharded.Error;
-
-      EXPECT_EQ(renderAnalysisReport(C.Opts, Local, Report),
-                renderAnalysisReport(C.Opts, Sharded.Pipeline, Report))
-          << ProgramName << " / " << C.Name;
-    }
-  }
-}
-
-TEST(ShardedAnalysis, RecoversFromWorkerCrash) {
-  const std::vector<WorkloadProgram> &Suite = benchmarkSuite();
-  const WorkloadProgram &W = Suite.front();
-  PipelineOptions Opts; // Default: polynomial + return jump functions.
-
-  PipelineResult Local = runPipeline(W.Source, Opts);
-  ASSERT_TRUE(Local.Ok) << Local.Error;
-
-  ShardedAnalysisOptions SOpts;
-  SOpts.NumShards = 2;
-  SOpts.Spawn = workerSpawn();
-  SOpts.Spawn.CrashPartitionIndex = 0;
-  ShardedAnalysisResult Sharded =
-      runShardedAnalysis(W.Name, W.Source, Opts, SOpts);
-  ASSERT_TRUE(Sharded.Ok) << Sharded.Error;
-  EXPECT_GE(Sharded.WorkerCrashes, 1u);
-  EXPECT_GE(Sharded.PartitionsReassigned, 1u);
-
-  ReportOptions Report;
-  Report.Stats = true;
-  EXPECT_EQ(renderAnalysisReport(Opts, Local, Report),
-            renderAnalysisReport(Opts, Sharded.Pipeline, Report));
-}
-
-TEST(ShardedAnalysis, RejectsNonShardableConfigs) {
-  PipelineOptions Complete;
-  Complete.CompletePropagation = true;
-  ShardedAnalysisOptions SOpts;
-  SOpts.Spawn = workerSpawn();
-  ShardedAnalysisResult R = runShardedAnalysis(
-      "p", "proc main()\n  print 1\nend\n", Complete, SOpts);
-  EXPECT_FALSE(R.Ok);
-  EXPECT_FALSE(R.Error.empty());
-}
 
 //===----------------------------------------------------------------------===//
 // Router: in-process backend (no subprocess needed)

@@ -1,6 +1,7 @@
 # Driver CLI contract test, run via `cmake -P` (see tests/CMakeLists.txt).
 # Bad inputs must produce a diagnostic and a nonzero exit instead of
-# silently analyzing an empty program; --run/--validate must work.
+# silently analyzing an empty program; --run/--validate must work; a
+# summary file must round-trip through --summary-out and --summary-in.
 
 if(NOT DEFINED DRIVER OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "DRIVER and WORK_DIR must be defined")
@@ -67,6 +68,26 @@ end
 ")
 expect_run(run_trap nonzero "divide-by-zero" "--run" "${TRAP_MF}")
 
+# A program declaring more array cells than an engine may allocate gets
+# a structured memory-limit trap from both engines (exit 1), not an
+# abort, and --validate still answers.
+set(HUGE_MF "${WORK_DIR}/huge.mf")
+file(WRITE "${HUGE_MF}" "array buf(4000000000)
+proc main()
+  buf(1) = 2
+  print buf(1)
+end
+")
+foreach(ENGINE vm ast)
+  execute_process(COMMAND ${DRIVER} --run --exec=${ENGINE} "${HUGE_MF}"
+                  RESULT_VARIABLE RC OUTPUT_QUIET ERROR_VARIABLE ERR)
+  if(NOT RC EQUAL 1 OR NOT ERR MATCHES "memory-limit")
+    set(FAILURES "${FAILURES}\nrun_huge_${ENGINE}: rc=${RC}, stderr '${ERR}'")
+  endif()
+  expect_run(validate_huge_${ENGINE} zero "" "--validate" "--exec=${ENGINE}"
+             "${HUGE_MF}")
+endforeach()
+
 # --validate passes on a well-behaved program, under DCE too.
 expect_run(validate zero "" "--validate" "${GOOD_MF}")
 if(NOT LAST_STDOUT MATCHES "validation passed")
@@ -103,6 +124,31 @@ foreach(EXTRA "" "--fsa")
     set(FAILURES "${FAILURES}\nstats_${TAG}: no return jump function line in '${LAST_STDOUT}'")
   endif()
 endforeach()
+
+# A summary written by --summary-out loads back through --summary-in:
+# the --stats report is the one a plain run prints, and loading it under
+# another jump-function configuration is refused with exit code 1.
+set(MDG_SUMMARY "${WORK_DIR}/mdg.summary.json")
+file(REMOVE "${MDG_SUMMARY}")
+expect_run(summary_out zero "wrote summary" "--suite=mdg"
+           "--summary-out=${MDG_SUMMARY}")
+expect_run(summary_plain zero "" "--suite=mdg" "--stats")
+set(PLAIN_STATS "${LAST_STDOUT}")
+expect_run(summary_in zero "" "--suite=mdg" "--stats"
+           "--summary-in=${MDG_SUMMARY}")
+if(NOT LAST_STDOUT STREQUAL PLAIN_STATS)
+  set(FAILURES "${FAILURES}\nsummary_in: report differs from the plain run:\n${LAST_STDOUT}")
+endif()
+execute_process(COMMAND ${DRIVER} --suite=mdg --jf=pass
+                        "--summary-in=${MDG_SUMMARY}"
+                RESULT_VARIABLE RC OUTPUT_QUIET ERROR_VARIABLE ERR)
+if(NOT RC EQUAL 1 OR NOT ERR MATCHES "different jump-function configuration")
+  set(FAILURES "${FAILURES}\nsummary_in_other_config: rc=${RC}, stderr '${ERR}'")
+endif()
+# Complete propagation and intraprocedural-only runs build no jump
+# functions a summary could carry.
+expect_run(summary_in_complete nonzero "build no reusable jump functions"
+           "--suite=mdg" "--complete" "--summary-in=${MDG_SUMMARY}")
 
 if(NOT FAILURES STREQUAL "")
   message(FATAL_ERROR "driver CLI test failures:${FAILURES}")

@@ -585,6 +585,39 @@ TEST(ServeServer, FuzzReplayRejectsMangledEntry) {
             std::string::npos);
 }
 
+TEST(ServeServer, HugeArrayRequestsLeaveServerAndCacheIntact) {
+  // Executing a program that declares more array cells than an engine
+  // may allocate must answer with a structured reply, not take down the
+  // process and every warm session in it.
+  Server S({.Workers = 1, .CacheCapacity = 4});
+  ASSERT_TRUE(parsedOk(S.handle(analyzeRequest("warm", SampleProgram)))
+                  .boolOr("ok", false));
+
+  const std::string HugeGlobal = "array buf(4000000000)\n"
+                                 "proc main()\n  buf(1) = 2\n"
+                                 "  print buf(1)\nend\n";
+  JsonValue V = parsedOk(
+      S.handle("{\"id\":\"v\",\"method\":\"validate\",\"params\":{"
+               "\"source\":" +
+               JsonValue(HugeGlobal).dump() + "}}"));
+  EXPECT_TRUE(V.boolOr("ok", false)) << V.dump();
+
+  std::string Entry = "! ipcp-fuzz corpus\n! origin-seed: 1\n"
+                      "proc main()\n  call f(3)\nend\n"
+                      "proc f(x)\n  array w(3000000000)\n  w(1) = x\n"
+                      "  print w(1)\nend\n";
+  JsonValue F = parsedOk(
+      S.handle("{\"id\":\"f\",\"method\":\"fuzz-replay\",\"params\":{"
+               "\"entry\":" +
+               JsonValue(Entry).dump() + "}}"));
+  EXPECT_TRUE(F.boolOr("ok", false)) << F.dump();
+
+  // The next request is answered, from the cache the first one warmed.
+  JsonValue Again = parsedOk(S.handle(analyzeRequest("again", SampleProgram)));
+  ASSERT_TRUE(Again.boolOr("ok", false));
+  EXPECT_TRUE(Again.find("result")->boolOr("cached", false));
+}
+
 //===----------------------------------------------------------------------===//
 // Transports
 //===----------------------------------------------------------------------===//

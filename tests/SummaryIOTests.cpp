@@ -6,18 +6,20 @@
 ///
 /// \file
 /// The summary serialization contract: fingerprints and whole summaries
-/// round-trip byte-identically, a reconstituted summary solves exactly
-/// like a same-process build, partial summaries merge seamlessly, and
-/// every malformed input — truncation, version skew, garbage, bad
-/// partitions — fails loudly with a diagnostic.
+/// round-trip byte-identically, a loaded summary analyzes exactly like a
+/// same-process build (down to the --stats report), and every malformed
+/// or mismatched input — truncation, version skew, garbage, a partial
+/// summary, another configuration or source — fails loudly with a
+/// diagnostic.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ipcp/SummaryIO.h"
 
 #include "ipcp/AnalysisSession.h"
-#include "ipcp/Solver.h"
+#include "serve/Render.h"
 #include "workloads/Suite.h"
+#include "workloads/SuiteRunner.h"
 
 #include "TestHelpers.h"
 
@@ -91,20 +93,11 @@ std::string fingerprint(const JumpFunction &J) {
   return Fp;
 }
 
-/// Renders a solve's CONSTANTS sets deterministically.
-std::string constantsDigest(const SolveResult &R, const SymbolTable &Symbols,
-                            size_t NumProcs) {
-  std::string Out;
-  for (ProcId P = 0; P < NumProcs; ++P)
-    for (const auto &[Sym, V] : R.constants(P)) {
-      Out += std::to_string(P);
-      Out += ':';
-      Out += Symbols.symbol(Sym).Name;
-      Out += '=';
-      Out += std::to_string(V);
-      Out += '\n';
-    }
-  return Out;
+/// \p Opts as a full analysis configuration (propagation defaults).
+PipelineOptions pipelineOptions(const JumpFunctionOptions &Opts) {
+  PipelineOptions P;
+  static_cast<JumpFunctionOptions &>(P) = Opts;
+  return P;
 }
 
 const char *RichSource = R"(global g
@@ -251,67 +244,84 @@ TEST(SummaryIO, ReconstitutedSolveMatchesDirectSolve) {
   for (const WorkloadProgram &W : benchmarkSuite()) {
     SessionFixture F(W.Source);
     for (const JumpFunctionOptions &Opts : allJfOptions()) {
-      // Direct: stage 2 + stage 3 in-process.
-      const Module &M = F.Session->module();
-      const CallGraph &CG = F.Session->callGraph();
-      ProgramJumpFunctions Direct = buildJumpFunctions(
-          M, F.Symbols, CG, F.Session->modRef(Opts.UseMod), Opts,
-          &F.Session->refAlias(Opts.UseMod), nullptr, F.Session.get(),
-          Opts.FlowSensitiveAlias ? &F.Session->flowAlias(Opts.UseMod)
-                                  : nullptr,
-          Opts.CopyPropagation ? &F.Session->copyProp(Opts.UseMod)
-                               : nullptr);
-      SolveResult Want = solveConstants(F.Symbols, CG, Direct);
+      PipelineOptions P = pipelineOptions(Opts);
+      // Direct: stages 2 and 3 in-process.
+      PipelineResult Want = runPipeline(W.Source, P);
+      ASSERT_TRUE(Want.Ok) << Want.Error;
 
-      // Through the wire: summary -> bytes -> parse -> reconstitute ->
-      // solve.
+      // Through the wire: summary -> bytes -> load -> solve.
       std::string Bytes = serializeSummary(F.summary(Opts, W.Name));
-      ProgramSummary Reloaded;
-      std::string Error;
-      ASSERT_TRUE(parseSummary(Bytes, Reloaded, Error)) << Error;
-      SolveResult Got;
-      ASSERT_TRUE(solveSummary(Reloaded, M, F.Symbols, CG,
-                               SolverStrategy::Worklist, Got, Error))
-          << W.Name << ": " << Error;
+      PipelineResult Got = runPipelineFromSummary(Bytes, W.Source, P, W.Name);
+      ASSERT_TRUE(Got.Ok) << W.Name << ": " << Got.Error;
 
-      EXPECT_EQ(constantsDigest(Got, F.Symbols, CG.numProcs()),
-                constantsDigest(Want, F.Symbols, CG.numProcs()))
-          << W.Name;
+      EXPECT_EQ(Got.Constants, Want.Constants) << W.Name;
+      EXPECT_EQ(Got.PerProcSubstituted, Want.PerProcSubstituted) << W.Name;
     }
   }
 }
 
-TEST(SummaryIO, MergedPartialsMatchFullSummaryByteForByte) {
-  SessionFixture F(RichSource);
-  JumpFunctionOptions Opts;
-  ProgramSummary Full = F.summary(Opts);
-  std::string FullBytes = serializeSummary(Full);
+// The whole report, not just the constants: the --stats block renders
+// jump-function counts from the reconstituted functions, which is where
+// a loaded summary has drifted from a local build before (pass-through
+// return functions counted as polynomial, optimistic numbering's phi
+// merges).
+TEST(SummaryIO, LoadedSummaryMatchesLocalStatsReport) {
+  ReportOptions Report;
+  Report.Stats = true;
+  for (const char *Name : {"trfd", "ocean", "doduc", "copychains"}) {
+    const WorkloadProgram *W = nullptr;
+    for (const WorkloadProgram &P : extendedSuite())
+      if (P.Name == Name)
+        W = &P;
+    ASSERT_NE(nullptr, W) << Name;
+    SessionFixture F(W->Source);
+    for (const SuiteConfig &C : allConfigs()) {
+      // Neither builds jump functions a summary could carry.
+      if (C.Opts.CompletePropagation || C.Opts.IntraproceduralOnly)
+        continue;
+      PipelineResult Local = runPipeline(W->Source, C.Opts);
+      ASSERT_TRUE(Local.Ok) << Local.Error;
 
-  // One part per procedure, shuffled, serialized and reloaded — the
-  // worker-to-coordinator path.
-  const Module &M = F.Session->module();
-  const CallGraph &CG = F.Session->callGraph();
-  ProgramJumpFunctions Jfs = buildJumpFunctions(
-      M, F.Symbols, CG, F.Session->modRef(true), Opts,
-      &F.Session->refAlias(true), nullptr, F.Session.get());
-  std::vector<ProgramSummary> Parts;
-  std::vector<ProcId> Order = {2, 0, 1};
-  for (ProcId P : Order) {
-    ProgramSummary Part =
-        makeSummary("test", summarySourceHash(F.Source), M, F.Symbols, CG,
-                    Jfs, &F.Session->refAlias(true), {P});
-    std::string Bytes = serializeSummary(Part);
-    ProgramSummary Reloaded;
-    std::string Error;
-    ASSERT_TRUE(parseSummary(Bytes, Reloaded, Error)) << Error;
-    EXPECT_FALSE(Reloaded.complete());
-    Parts.push_back(std::move(Reloaded));
+      std::string Bytes = serializeSummary(F.summary(C.Opts, W->Name));
+      PipelineResult Loaded =
+          runPipelineFromSummary(Bytes, W->Source, C.Opts, W->Name);
+      ASSERT_TRUE(Loaded.Ok) << Name << " / " << C.Name << ": "
+                             << Loaded.Error;
+
+      EXPECT_EQ(renderAnalysisReport(C.Opts, Local, Report),
+                renderAnalysisReport(C.Opts, Loaded, Report))
+          << Name << " / " << C.Name;
+    }
   }
+}
 
-  ProgramSummary Merged;
-  std::string Error;
-  ASSERT_TRUE(mergeSummaries(std::move(Parts), Merged, Error)) << Error;
-  EXPECT_EQ(serializeSummary(Merged), FullBytes);
+TEST(SummaryIO, LoadRejectsMismatchedSummaries) {
+  SessionFixture F(RichSource);
+  PipelineOptions Opts;
+  std::string Good = serializeSummary(F.summary(Opts));
+  ASSERT_TRUE(runPipelineFromSummary(Good, RichSource, Opts, "s.json").Ok);
+
+  PipelineOptions Pass;
+  Pass.Kind = JumpFunctionKind::PassThrough;
+  EXPECT_EQ(runPipelineFromSummary(Good, RichSource, Pass, "s.json").Error,
+            "error: 's.json' was built under a different jump-function "
+            "configuration than the one selected\n");
+
+  std::string Edited = std::string(RichSource) + "\n";
+  EXPECT_EQ(runPipelineFromSummary(Good, Edited, Opts, "s.json").Error,
+            "error: 's.json' summarizes a different source than the one "
+            "loaded\n");
+
+  PipelineResult Garbage =
+      runPipelineFromSummary("{}", RichSource, Opts, "s.json");
+  EXPECT_FALSE(Garbage.Ok);
+  EXPECT_EQ(Garbage.Error.rfind("error: s.json: ", 0), 0u) << Garbage.Error;
+
+  // Frontend diagnostics come through exactly as runPipeline reports them.
+  const char *Broken = "proc main(\n";
+  PipelineResult Frontend = runPipelineFromSummary(Good, Broken, Opts, "s.json");
+  EXPECT_FALSE(Frontend.Ok);
+  EXPECT_EQ(Frontend.Error, runPipeline(Broken, Opts).Error);
 }
 
 //===----------------------------------------------------------------------===//
@@ -529,89 +539,24 @@ TEST(SummaryIO, ParseCatchesContentCorruptionThroughStats) {
   EXPECT_FALSE(Error.empty());
 }
 
-TEST(SummaryIO, MergeRejectsBadPartitions) {
-  SessionFixture F(RichSource);
-  JumpFunctionOptions Opts;
-  const Module &M = F.Session->module();
-  const CallGraph &CG = F.Session->callGraph();
-  ProgramJumpFunctions Jfs = buildJumpFunctions(
-      M, F.Symbols, CG, F.Session->modRef(true), Opts,
-      &F.Session->refAlias(true), nullptr, F.Session.get());
-  auto Part = [&](std::vector<ProcId> Procs) {
-    return makeSummary("test", summarySourceHash(F.Source), M, F.Symbols, CG,
-                       Jfs, &F.Session->refAlias(true), std::move(Procs));
-  };
-
-  ProgramSummary Out;
-  std::string Error;
-
-  // Overlap.
-  {
-    std::vector<ProgramSummary> Parts;
-    Parts.push_back(Part({0, 1}));
-    Parts.push_back(Part({1, 2}));
-    EXPECT_FALSE(mergeSummaries(std::move(Parts), Out, Error));
-    EXPECT_NE(Error.find("overlap"), std::string::npos) << Error;
-  }
-  // Gap.
-  {
-    std::vector<ProgramSummary> Parts;
-    Parts.push_back(Part({0}));
-    Parts.push_back(Part({2}));
-    EXPECT_FALSE(mergeSummaries(std::move(Parts), Out, Error));
-    EXPECT_NE(Error.find("gap"), std::string::npos) << Error;
-  }
-  // Configuration skew.
-  {
-    std::vector<ProgramSummary> Parts;
-    Parts.push_back(Part({0, 1}));
-    Parts.push_back(Part({2}));
-    Parts.back().Options.Kind = JumpFunctionKind::Literal;
-    EXPECT_FALSE(mergeSummaries(std::move(Parts), Out, Error));
-    EXPECT_NE(Error.find("configuration"), std::string::npos) << Error;
-  }
-  // Source skew.
-  {
-    std::vector<ProgramSummary> Parts;
-    Parts.push_back(Part({0, 1}));
-    Parts.push_back(Part({2}));
-    Parts.back().SourceHash ^= 1;
-    EXPECT_FALSE(mergeSummaries(std::move(Parts), Out, Error));
-    EXPECT_NE(Error.find("source"), std::string::npos) << Error;
-  }
-  // Empty.
-  {
-    EXPECT_FALSE(mergeSummaries({}, Out, Error));
-    EXPECT_FALSE(Error.empty());
-  }
-  // And the happy path still works after all that.
-  {
-    std::vector<ProgramSummary> Parts;
-    Parts.push_back(Part({1}));
-    Parts.push_back(Part({0, 2}));
-    EXPECT_TRUE(mergeSummaries(std::move(Parts), Out, Error)) << Error;
-    EXPECT_TRUE(Out.complete());
-  }
-}
-
 TEST(SummaryIO, ReconstituteValidatesAgainstLoadedProgram) {
   SessionFixture F(RichSource);
   JumpFunctionOptions Opts;
   ProgramSummary S = F.summary(Opts);
 
-  // Partial summaries must be merged first.
+  // A partial summary (the format admits one) does not reconstitute.
   {
-    const Module &M = F.Session->module();
-    const CallGraph &CG = F.Session->callGraph();
-    ProgramJumpFunctions Jfs = buildJumpFunctions(
-        M, F.Symbols, CG, F.Session->modRef(true), Opts,
-        &F.Session->refAlias(true), nullptr, F.Session.get());
-    ProgramSummary Partial =
-        makeSummary("test", summarySourceHash(F.Source), M, F.Symbols, CG,
-                    Jfs, &F.Session->refAlias(true), {0});
-    ProgramJumpFunctions Out;
+    ProgramSummary Partial = F.summary(Opts);
+    Partial.Procs.pop_back();
+    std::string Bytes = serializeSummary(Partial);
+    ProgramSummary Reloaded;
     std::string Error;
-    EXPECT_FALSE(reconstituteJumpFunctions(Partial, M, F.Symbols, CG, Out,
+    ASSERT_TRUE(parseSummary(Bytes, Reloaded, Error)) << Error;
+    EXPECT_FALSE(Reloaded.complete());
+    ProgramJumpFunctions Out;
+    EXPECT_FALSE(reconstituteJumpFunctions(Reloaded, F.Session->module(),
+                                           F.Symbols,
+                                           F.Session->callGraph(), Out,
                                            Error));
     EXPECT_NE(Error.find("partial"), std::string::npos) << Error;
   }

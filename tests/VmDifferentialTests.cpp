@@ -180,6 +180,51 @@ TEST_P(VmRandomIdentityTest, OriginalAndTransformedTraceIdentical) {
 INSTANTIATE_TEST_SUITE_P(Seeds, VmRandomIdentityTest,
                          ::testing::Range<uint64_t>(1, 321));
 
+//===----------------------------------------------------------------------===//
+// Array-cell budget
+//===----------------------------------------------------------------------===//
+
+TEST(VmArrayBudget, OversizedDeclarationsTrapIdentically) {
+  const std::string Cells = std::to_string(MaxArrayCells);
+  const std::string Half = std::to_string(MaxArrayCells / 2 + 1);
+  const std::pair<std::string, RunStatus> Cases[] = {
+      // A global array past the budget: nothing runs.
+      {"global g\narray buf(4000000000)\nproc main()\n  g = 1\n"
+       "  print buf(1)\nend\n",
+       RunStatus::MemoryLimit},
+      // A size that wraps a 32-bit slot count must not slip through.
+      {"array buf(4294967297)\nproc main()\n  print buf(1)\nend\n",
+       RunStatus::MemoryLimit},
+      // Arrays that fit one by one but not together.
+      {"array a(" + Half + ")\narray b(" + Half +
+           ")\nproc main()\n  print 1\nend\n",
+       RunStatus::MemoryLimit},
+      // A callee's local array traps at the call, after earlier output.
+      {"proc main()\n  print 7\n  call f(3)\nend\n"
+       "proc f(x)\n  array w(3000000000)\n  w(1) = x\n  print w(1)\nend\n",
+       RunStatus::MemoryLimit},
+      // The entry procedure's own locals.
+      {"proc main()\n  array w(" + std::to_string(MaxArrayCells + 1) +
+           ")\n  print 1\nend\n",
+       RunStatus::MemoryLimit},
+      // Live frames add up: recursion holding 2^17 cells per frame
+      // passes the budget before the depth limit.
+      {"proc main()\n  call r(100)\nend\n"
+       "proc r(n)\n  array w(131072)\n  if (n > 0) then\n"
+       "    call r(n - 1)\n  end if\nend\n",
+       RunStatus::MemoryLimit},
+      // Returned frames give their cells back: the whole budget, in
+      // turn, many times over.
+      {"proc main()\n  integer i\n  do i = 1, 8\n    call f(i)\n  end do\n"
+       "end\nproc f(x)\n  array w(" + Cells + ")\n  w(" + Cells +
+           ") = x\n  print w(" + Cells + ")\nend\n",
+       RunStatus::Ok},
+  };
+  for (const auto &[Source, Want] : Cases)
+    for (RunStatus Got : expectEngineIdentity(Source, Source))
+      EXPECT_EQ(Got, Want) << Source;
+}
+
 TEST(VmRandomSweep, ExercisesTrapsAndCompletions) {
   // The wall is only as strong as its coverage: across a slice of the
   // sweep, programs must both complete and trap.

@@ -28,7 +28,6 @@
 #include "ipcp/SummaryIO.h"
 #include "support/TablePrinter.h"
 #include "support/ThreadPool.h"
-#include "workloads/ShardedSuite.h"
 #include "workloads/Suite.h"
 #include "workloads/SuiteRunner.h"
 
@@ -73,17 +72,11 @@ static void printUsage() {
          "  --server-url=<host:port>  forward the analysis to a running\n"
          "                 ipcp-serve and print its reply (byte-identical\n"
          "                 to local mode)\n"
-         "  --shards=<n>   distribute across n forked worker processes:\n"
-         "                 with --configs the suite's programs are\n"
-         "                 partitioned, otherwise the one program's\n"
-         "                 procedures are (report byte-identical to local)\n"
          "  --summary-out=<file>  write the program's jump-function\n"
          "                 summary (versioned JSON) and exit\n"
          "  --summary-in=<file>   load jump functions from a summary file\n"
          "                 instead of building them (validated against the\n"
-         "                 source and the selected configuration)\n"
-         "  --shard-worker --shard-in=<job> --shard-out=<result>\n"
-         "                 internal: run one shard job file and exit\n";
+         "                 source and the selected configuration)\n";
 }
 
 // Parses a worker-count flag value: digits only, capped well below any
@@ -141,10 +134,6 @@ int main(int argc, char **argv) {
   std::string ConfigSet;
   std::string ServerUrl;
   SuiteSharing Sharing = SuiteSharing::Shared;
-  bool ShardWorker = false;
-  std::string ShardIn;
-  std::string ShardOut;
-  unsigned Shards = 0;
   std::string SummaryOut;
   std::string SummaryIn;
 
@@ -219,19 +208,6 @@ int main(int argc, char **argv) {
       SuiteName = Arg.substr(8);
     } else if (Arg.rfind("--server-url=", 0) == 0) {
       ServerUrl = Arg.substr(13);
-    } else if (Arg == "--shard-worker") {
-      ShardWorker = true;
-    } else if (Arg.rfind("--shard-in=", 0) == 0) {
-      ShardIn = Arg.substr(11);
-    } else if (Arg.rfind("--shard-out=", 0) == 0) {
-      ShardOut = Arg.substr(12);
-    } else if (Arg.rfind("--shards=", 0) == 0) {
-      if (!parseCount(Arg.substr(9), "--shards", Shards))
-        return 1;
-      if (Shards == 0) {
-        std::cerr << "error: --shards expects at least 1 worker\n";
-        return 1;
-      }
     } else if (Arg.rfind("--summary-out=", 0) == 0) {
       SummaryOut = Arg.substr(14);
     } else if (Arg.rfind("--summary-in=", 0) == 0) {
@@ -248,20 +224,6 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Internal worker mode: one shard job file in, one result file out.
-  if (ShardWorker) {
-    if (ShardIn.empty() || ShardOut.empty()) {
-      std::cerr << "error: --shard-worker needs --shard-in and --shard-out\n";
-      return 1;
-    }
-    return runShardWorker(ShardIn, ShardOut);
-  }
-  if (!ShardIn.empty() || !ShardOut.empty()) {
-    std::cerr << "error: --shard-in/--shard-out only apply to "
-                 "--shard-worker\n";
-    return 1;
-  }
-
   // Batch mode: the whole built-in suite under a named config set,
   // (program x config) runs fanned out across --jobs workers.
   if (!ConfigSet.empty()) {
@@ -272,47 +234,6 @@ int main(int argc, char **argv) {
       return 1;
     }
 
-    // Sharded batch: partition the suite's programs across forked
-    // workers. The table and the "cells:" line are byte-identical to the
-    // single-process batch below; the wall line reports worker stats.
-    if (Shards > 0) {
-      ShardedSuiteOptions SOpts;
-      SOpts.NumWorkers = Shards;
-      SOpts.ConfigSet = ConfigSet;
-      ShardedSuiteResult Batch = runShardedSuite(extendedSuite(), SOpts);
-      if (!Batch.Ok) {
-        std::cerr << "error: " << Batch.Error << '\n';
-        return 1;
-      }
-      TablePrinter Table;
-      std::vector<std::string> Header = {"Program"};
-      for (const SuiteConfig &C : Configs)
-        Header.push_back(C.Name);
-      Table.addHeader(Header);
-      bool AllOk = true;
-      unsigned Total = 0;
-      for (size_t P = 0; P != Batch.NumPrograms; ++P) {
-        std::vector<std::string> Row = {Batch.cell(P, 0).Program};
-        for (size_t C = 0; C != Batch.NumConfigs; ++C) {
-          const ShardCellResult &Cell = Batch.cell(P, C);
-          AllOk = AllOk && Cell.Ok;
-          Total += Cell.SubstitutedConstants;
-          Row.push_back(Cell.Ok ? std::to_string(Cell.SubstitutedConstants)
-                                : std::string("ERR"));
-        }
-        Table.addRow(Row);
-      }
-      Table.print(std::cout);
-      std::cout << "\ncells: " << Batch.Cells.size() << " ("
-                << Batch.NumPrograms << " programs x " << Batch.NumConfigs
-                << " configs), total substituted: " << Total << "\n";
-      std::cout << std::fixed << std::setprecision(1) << "wall: "
-                << Batch.WallMs << " ms, shard workers: " << Shards
-                << ", spawned: " << Batch.WorkersSpawned << ", crashes: "
-                << Batch.WorkerCrashes << "\n"
-                << std::defaultfloat;
-      return AllOk ? 0 : 1;
-    }
     SuiteRunResult Batch =
         runSuite(extendedSuite(), Configs, Jobs, Opts.Threads, Sharing);
 
@@ -492,24 +413,22 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  // The distributed-analysis flags all drive the plain analysis report.
-  if (!SummaryOut.empty() || !SummaryIn.empty() || Shards > 0) {
-    int Picked = (SummaryOut.empty() ? 0 : 1) + (SummaryIn.empty() ? 0 : 1) +
-                 (Shards > 0 ? 1 : 0);
-    if (Picked > 1) {
-      std::cerr << "error: --summary-out, --summary-in, and --shards are "
-                   "mutually exclusive\n";
+  // The summary flags both drive the plain analysis report.
+  if (!SummaryOut.empty() || !SummaryIn.empty()) {
+    if (!SummaryOut.empty() && !SummaryIn.empty()) {
+      std::cerr << "error: --summary-out and --summary-in are mutually "
+                   "exclusive\n";
       return 1;
     }
     if (DoRun || DoValidate || DoInline || DoClone || DumpIr || DumpSsa ||
         DumpJf) {
-      std::cerr << "error: --summary-out/--summary-in/--shards support only "
-                   "the analysis report\n";
+      std::cerr << "error: --summary-out/--summary-in support only the "
+                   "analysis report\n";
       return 1;
     }
     if (Opts.CompletePropagation || Opts.IntraproceduralOnly) {
       std::cerr << "error: --complete and --intra-only build no reusable "
-                   "jump functions to serialize or shard\n";
+                   "jump functions to serialize\n";
       return 1;
     }
   }
@@ -669,25 +588,10 @@ int main(int argc, char **argv) {
 
   Opts.EmitTransformedSource = EmitSource;
   PipelineResult Result;
-  if (Shards > 0) {
-    // Distributed analysis: jump-function construction sharded across
-    // forked workers, solve + substitution local over the merged
-    // summaries. The report below is byte-identical to local mode.
-    ShardedAnalysisOptions SOpts;
-    SOpts.NumShards = Shards;
-    ShardedAnalysisResult SR =
-        runShardedAnalysis(ProgramName, Source, Opts, SOpts);
-    if (!SR.Ok) {
-      std::cerr << (SR.Error.empty() ? std::string("sharded analysis failed")
-                                     : SR.Error)
-                << '\n';
-      return 1;
-    }
-    Result = std::move(SR.Pipeline);
-  } else if (!SummaryIn.empty()) {
+  if (!SummaryIn.empty()) {
     // Load stage 2 from a summary file instead of building it. Every
     // mismatch — version, configuration, source hash, shape — is a loud
-    // failure, never a silent merge (see ipcp/SummaryIO.h).
+    // failure, never a silent load (see ipcp/SummaryIO.h).
     std::ifstream In(SummaryIn, std::ios::binary);
     if (!In) {
       std::cerr << "error: cannot open '" << SummaryIn << "'\n";
@@ -699,40 +603,7 @@ int main(int argc, char **argv) {
       std::cerr << "error: failed reading '" << SummaryIn << "'\n";
       return 1;
     }
-    ProgramSummary S;
-    std::string Error;
-    if (!parseSummary(Buf.str(), S, Error)) {
-      std::cerr << "error: " << SummaryIn << ": " << Error << '\n';
-      return 1;
-    }
-    DiagnosticEngine Diags;
-    auto Ctx = parseProgram(Source, Diags);
-    SymbolTable Symbols;
-    if (!Diags.hasErrors())
-      Symbols = Sema::run(*Ctx, Diags);
-    if (Diags.hasErrors()) {
-      Diags.print(std::cerr);
-      return 1;
-    }
-    if (S.Options != Opts) {
-      std::cerr << "error: '" << SummaryIn << "' was built under a "
-                   "different jump-function configuration than the one "
-                   "selected\n";
-      return 1;
-    }
-    if (S.SourceHash != summarySourceHash(Source)) {
-      std::cerr << "error: '" << SummaryIn << "' summarizes a different "
-                   "source than the one loaded\n";
-      return 1;
-    }
-    AnalysisSession Session(*Ctx, Symbols);
-    ProgramJumpFunctions Jfs;
-    if (!reconstituteJumpFunctions(S, Session.module(), Symbols,
-                                   Session.callGraph(), Jfs, Error)) {
-      std::cerr << "error: " << SummaryIn << ": " << Error << '\n';
-      return 1;
-    }
-    Result = runPipelineOnSession(Session, Opts, &Jfs);
+    Result = runPipelineFromSummary(Buf.str(), Source, Opts, SummaryIn);
   } else {
     Result = runPipeline(Source, Opts);
   }

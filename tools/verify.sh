@@ -23,20 +23,18 @@
 #     of the classic analysis in the copy tier over the extended suite
 #     and a 200-seed relay sweep, oracle-validated recoveries, strict
 #     per-family gains, toggle-off identity),
-#   * the distributed tier (`ctest -L check-dist`: sharded-vs-single
-#     byte-identity at the full grid and 30 random seeds, worker-crash
-#     reassignment, shard-file hardening, and the router wall —
-#     forwarding identity, backend-death rehash, all-down overload,
-#     shutdown races), and
+#   * the serve router wall (`ctest -L check-dist`: forwarding
+#     identity, backend-death rehash, all-down overload, shutdown
+#     races), and
 #   * the bench smokes (`ctest -L check-bench`: cold-vs-warm suite,
-#     server throughput, the distributed tier, and the
+#     server throughput, the serve router, and the
 #     VM-vs-interpreter >=10x gate — the gate is relaxed under
 #     sanitizer presets, which tax the two engines unevenly).
 #
 # Under the default preset only, also runs the full (non-smoke) memo and
 # cold-path bench gates: the suite bench's >=0.3 solver-memo hit-rate and
 # >=2x warm-speedup gates, the serve bench's >=2x hot-vs-cold and
-# byte-identity gates, and the distributed bench's identity +
+# byte-identity gates, and the router bench's reply identity +
 # hardware-conditional speedup gates. Sanitizer presets skip these —
 # wall-clock gates are meaningless under instrumentation.
 #
@@ -104,7 +102,7 @@ for preset in "${PRESETS[@]}"; do
   echo "==== [$preset] engine differential (check-vm) ===="
   ctest --test-dir "$builddir" -L check-vm --output-on-failure -j "$JOBS"
 
-  echo "==== [$preset] distributed tier (check-dist) ===="
+  echo "==== [$preset] serve router (check-dist) ===="
   ctest --test-dir "$builddir" -L check-dist --output-on-failure -j "$JOBS"
 
   echo "==== [$preset] precision wall (check-precision) ===="
