@@ -53,13 +53,17 @@ RefAliasInfo::RefAliasInfo(const Module &M, const SymbolTable &Symbols,
   size_t NumSyms = Symbols.size();
   Unstable.assign(NumProcs, std::vector<uint8_t>(NumSyms, 0));
 
-  // Bind[P][I]: the variable locations (globals and caller locals,
-  // program-wide unique SymbolIds) that formal I of procedure P may be
-  // bound to by reference at some call site. Expression actuals bind to
-  // by-value temporaries and contribute nothing. A formal actual forwards
-  // its own binding set, so the sets close transitively over call chains;
-  // every call site in the module participates (reachability would only
-  // shrink the sets, and conservatism is free here).
+  // Bind[P][I]: the variable locations (globals, caller locals and
+  // caller formals, program-wide unique SymbolIds) that formal I of
+  // procedure P may be bound to by reference at some call site.
+  // Expression actuals bind to by-value temporaries and contribute
+  // nothing. A formal actual binds the callee formal to the forwarded
+  // formal itself and forwards its binding set, so the sets close
+  // transitively over call chains — the formal is needed even when its
+  // own set is empty (the caller was bound to an expression): `call
+  // w2(p1, p1)` must still make w2's two formals alias. Every call site
+  // in the module participates (reachability would only shrink the sets,
+  // and conservatism is free here).
   std::vector<std::vector<LocSet>> Bind(NumProcs);
   for (ProcId P = 0; P != NumProcs; ++P)
     Bind[P].resize(Symbols.formals(P).size());
@@ -83,11 +87,13 @@ RefAliasInfo::RefAliasInfo(const Module &M, const SymbolTable &Symbols,
             if (!Actual.isVar())
               continue;
             const Symbol &S = Symbols.symbol(Actual.Sym);
-            if (S.Kind == SymbolKind::Formal)
+            if (S.Kind == SymbolKind::Formal) {
+              Changed |= insertLoc(CalleeBind[I], Actual.Sym);
               Changed |=
                   unionInto(CalleeBind[I], Bind[Caller][S.FormalIndex]);
-            else if (S.isScalar())
+            } else if (S.isScalar()) {
               Changed |= insertLoc(CalleeBind[I], Actual.Sym);
+            }
           }
         }
       }

@@ -95,6 +95,39 @@ if(NOT LAST_STDOUT MATCHES "validation passed")
 endif()
 expect_run(validate_complete zero "" "--validate" "--complete" "${GOOD_MF}")
 
+# A formal forwarded twice aliases itself, even when the caller's own
+# formal was bound to an expression: w2 writes x and prints y, which
+# name the same location, so y must not be substituted with w0's entry
+# constant (the reference prints 2 then 7).
+set(ALIAS_MF "${WORK_DIR}/forwarded-twice.mf")
+file(WRITE "${ALIAS_MF}" "proc main()
+  integer a
+  a = 1
+  call w0(a + 1)
+end
+
+proc w0(p1)
+  print p1
+  call w2(p1, p1)
+end
+
+proc w2(x, y)
+  x = 7
+  print y
+end
+")
+expect_run(forwarded_twice_run zero "" "--run" "${ALIAS_MF}")
+if(NOT LAST_STDOUT MATCHES "^2\n7\n")
+  set(FAILURES "${FAILURES}\nforwarded_twice_run: unexpected trace '${LAST_STDOUT}'")
+endif()
+foreach(EXTRA "" "--jf=pass" "--ogvn" "--copy" "--gsa" "--complete" "--no-mod")
+  expect_run(forwarded_twice_validate${EXTRA} zero "" "--validate" ${EXTRA}
+             "${ALIAS_MF}")
+  if(NOT LAST_STDOUT MATCHES "validation passed")
+    set(FAILURES "${FAILURES}\nforwarded_twice_validate${EXTRA}: '${LAST_STDOUT}'")
+  endif()
+endforeach()
+
 # A good --constants-out write still succeeds.
 expect_run(constants_out zero ""
            "--constants-out=${WORK_DIR}/constants.txt" "${GOOD_MF}")

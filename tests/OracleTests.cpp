@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "exec/Oracle.h"
+#include "ipcp/AnalysisConfig.h"
 
 #include "TestHelpers.h"
 
@@ -66,6 +67,34 @@ TEST(OracleTest, ValidatesEveryJumpFunctionKind) {
     Opts.Pipeline.Kind = Kind;
     OracleResult R = validateTranslation(RichSource, Opts);
     EXPECT_TRUE(R.Ok) << jumpFunctionKindName(Kind) << ": " << R.Error;
+  }
+}
+
+TEST(OracleTest, FormalForwardedTwiceAliasesItself) {
+  // w0's formal is bound to an expression, so it has no caller-side
+  // location; forwarding it twice must still make w2's formals alias, or
+  // `print y` is substituted with w0's entry constant 2 after `x = 7`.
+  const char *Source = "proc main()\n"
+                       "  integer a\n"
+                       "  a = 1\n"
+                       "  call w0(a + 1)\n"
+                       "end\n"
+                       "proc w0(p1)\n"
+                       "  print p1\n"
+                       "  call w2(p1, p1)\n"
+                       "end\n"
+                       "proc w2(x, y)\n"
+                       "  x = 7\n"
+                       "  print y\n"
+                       "end\n";
+  for (const char *Flags :
+       {"", "--jf=pass", "--ogvn", "--copy", "--gsa", "--complete",
+        "--no-mod", "--fsa"}) {
+    OracleOptions Opts;
+    Opts.Pipeline = optionsFromFlags(Flags);
+    OracleResult R = validateTranslation(Source, Opts);
+    EXPECT_TRUE(R.Ok) << "[" << Flags << "] " << R.Error;
+    EXPECT_EQ(R.ConstantMismatches, 0u) << "[" << Flags << "]";
   }
 }
 
