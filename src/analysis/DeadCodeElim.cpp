@@ -36,6 +36,55 @@ bool mayTrap(const Expr *E) {
   return true;
 }
 
+/// Whether \p S folds under \p Decisions: an If with a known condition,
+/// a While with a known-false one, or a DoLoop with a known-false header
+/// test whose step cannot trap (see Rewriter::rewriteInto).
+bool folds(const Stmt *S, const DeadCodeElim::Decisions &Decisions) {
+  auto It = Decisions.find(S->id());
+  if (It == Decisions.end())
+    return false;
+  switch (S->kind()) {
+  case StmtKind::If:
+    return true;
+  case StmtKind::While:
+    return !It->second;
+  case StmtKind::DoLoop: {
+    const Expr *Step = cast<DoLoopStmt>(S)->step();
+    return !It->second && !(Step && mayTrap(Step));
+  }
+  default:
+    return false;
+  }
+}
+
+bool anyFolds(const std::vector<Stmt *> &Stmts,
+              const DeadCodeElim::Decisions &Decisions) {
+  for (const Stmt *S : Stmts) {
+    if (folds(S, Decisions))
+      return true;
+    switch (S->kind()) {
+    case StmtKind::If: {
+      const auto *I = cast<IfStmt>(S);
+      if (anyFolds(I->thenBody(), Decisions) ||
+          anyFolds(I->elseBody(), Decisions))
+        return true;
+      break;
+    }
+    case StmtKind::While:
+      if (anyFolds(cast<WhileStmt>(S)->body(), Decisions))
+        return true;
+      break;
+    case StmtKind::DoLoop:
+      if (anyFolds(cast<DoLoopStmt>(S)->body(), Decisions))
+        return true;
+      break;
+    default:
+      break;
+    }
+  }
+  return false;
+}
+
 class Rewriter {
 public:
   Rewriter(AstContext &Ctx, const DeadCodeElim::Decisions &Decisions)
@@ -57,9 +106,10 @@ private:
     switch (S->kind()) {
     case StmtKind::If: {
       auto *I = cast<IfStmt>(S);
-      if (auto It = Decisions.find(I->id()); It != Decisions.end()) {
+      if (folds(I, Decisions)) {
         ++Folded;
-        const auto &Arm = It->second ? I->thenBody() : I->elseBody();
+        const auto &Arm =
+            Decisions.at(I->id()) ? I->thenBody() : I->elseBody();
         for (Stmt *Inner : rewriteList(Arm))
           Out.push_back(Inner);
         return;
@@ -71,8 +121,7 @@ private:
     }
     case StmtKind::While: {
       auto *W = cast<WhileStmt>(S);
-      if (auto It = Decisions.find(W->id());
-          It != Decisions.end() && !It->second) {
+      if (folds(W, Decisions)) {
         ++Folded; // Loop body never executes.
         return;
       }
@@ -82,14 +131,12 @@ private:
     }
     case StmtKind::DoLoop: {
       auto *D = cast<DoLoopStmt>(S);
-      if (auto It = Decisions.find(D->id());
-          It != Decisions.end() && !It->second &&
-          !(D->step() && mayTrap(D->step()))) {
+      if (folds(D, Decisions)) {
         // Zero-trip loop: only the loop-variable initialization remains.
         // The trip test's operands (lo, hi) were proven constant, so
         // dropping their evaluation is trap-free; the step expression is
         // outside that proof, so a possibly-trapping step blocks the
-        // fold (guard above). The var and lo nodes are cloned — reusing
+        // fold (see folds()). The var and lo nodes are cloned — reusing
         // them would alias the retained DoLoopStmt's children, and later
         // passes (printing, a second DCE round) walk both trees.
         ++Folded;
@@ -130,4 +177,12 @@ unsigned DeadCodeElim::run(AstContext &Ctx, const Decisions &Decisions,
       DirtyProcs->push_back(P);
   }
   return R.folded();
+}
+
+bool DeadCodeElim::wouldFold(const Program &Prog,
+                             const Decisions &Decisions) {
+  for (const auto &P : Prog.Procs)
+    if (anyFolds(P->Body, Decisions))
+      return true;
+  return false;
 }

@@ -47,6 +47,11 @@ public:
   /// callers (AnalysisSession) can keep its lowered IR.
   static unsigned run(AstContext &Ctx, const Decisions &Decisions,
                       std::vector<ProcId> *DirtyProcs = nullptr);
+
+  /// True iff run() would fold at least one statement of \p Prog, which
+  /// is left untouched (complete propagation clones a shared program only
+  /// when it must).
+  static bool wouldFold(const Program &Prog, const Decisions &Decisions);
 };
 
 } // namespace ipcp

@@ -52,6 +52,7 @@ RefAliasInfo::RefAliasInfo(const Module &M, const SymbolTable &Symbols,
   size_t NumProcs = M.Functions.size();
   size_t NumSyms = Symbols.size();
   Unstable.assign(NumProcs, std::vector<uint8_t>(NumSyms, 0));
+  AnyUnstable.assign(NumProcs, 0);
 
   // Bind[P][I]: the variable locations (globals, caller locals and
   // caller formals, program-wide unique SymbolIds) that formal I of
@@ -114,6 +115,7 @@ RefAliasInfo::RefAliasInfo(const Module &M, const SymbolTable &Symbols,
         return;
       Unstable[P][A] = 1;
       Unstable[P][B] = 1;
+      AnyUnstable[P] = 1;
     };
     for (uint32_t I = 0, E = static_cast<uint32_t>(Formals.size()); I != E;
          ++I) {

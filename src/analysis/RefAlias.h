@@ -57,6 +57,9 @@ public:
     return Unstable.at(P).at(Sym) != 0;
   }
 
+  /// True if unstableMask(P) has any entry set.
+  bool anyUnstable(ProcId P) const { return AnyUnstable.at(P) != 0; }
+
   /// Number of distinct may-alias pairs found across the program.
   size_t numAliasPairs() const { return NumAliasPairs; }
 
@@ -65,6 +68,7 @@ public:
 
 private:
   std::vector<std::vector<uint8_t>> Unstable;
+  std::vector<uint8_t> AnyUnstable;
   size_t NumAliasPairs = 0;
   size_t NumUnstable = 0;
 };

@@ -169,6 +169,9 @@ void AnalysisSession::invalidate(const std::vector<ProcId> &Dirty) {
   // functions — clearing reclaims their memory and keeps the table's
   // lifetime tied to the artifacts it was recorded alongside.
   VcMemo.clear();
+  // Replayed substitution maps and branch decisions name this AST's
+  // expression and statement ids, which DCE just rewrote.
+  SubstMemo.clear();
   {
     std::lock_guard<std::mutex> Lock(JfMutex);
     JfSlots.clear();
@@ -200,6 +203,23 @@ void AnalysisSession::invalidate(const std::vector<ProcId> &Dirty) {
   Oracles[1].reset();
 }
 
+void AnalysisSession::adoptLowering(AnalysisSession &From,
+                                    const std::vector<ProcId> &Dirty) {
+  assert(&From != this && From.NumProcs == NumProcs &&
+         "adopting from a different program");
+  const Module &Src = From.module();
+  std::vector<uint8_t> IsDirty(NumProcs, 0);
+  for (ProcId P : Dirty)
+    IsDirty[P] = 1;
+  std::lock_guard<std::mutex> Lock(CoreMutex);
+  assert(Mod.Functions.empty() && "adopting into a used session");
+  Mod.Functions.resize(NumProcs);
+  for (ProcId P = 0, E = static_cast<ProcId>(NumProcs); P != E; ++P)
+    if (!IsDirty[P])
+      Mod.Functions[P] = Src.function(P).clone();
+  EverInvalidated = true;
+}
+
 SessionStats AnalysisSession::stats() const {
   SessionStats S;
   S.ProcsLowered = C.ProcsLowered.load(std::memory_order_relaxed);
@@ -212,5 +232,7 @@ SessionStats AnalysisSession::stats() const {
   S.JfBasesReused = C.JfBasesReused.load(std::memory_order_relaxed);
   S.SolverMemoHits = VcMemo.hits();
   S.SolverMemoMisses = VcMemo.misses();
+  S.SubstMemoHits = SubstMemo.hits();
+  S.SubstMemoMisses = SubstMemo.misses();
   return S;
 }

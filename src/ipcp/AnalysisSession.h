@@ -41,10 +41,40 @@
 ///     the kill sets — hence SSA — of every caller, so everything
 ///     downstream of lowering is dropped wholesale.
 ///
+/// The substitution memo (stage 4, Padhye & Khedker's value contexts
+/// applied to the seeded SCCP of ipcp/Substitution.h) keys one
+/// procedure P's result on exactly the inputs that SCCP reads:
+///
+///   * P and MOD presence — together they fix P's lowered Function and
+///     SSA (kill sets come from the MOD-dependent kill oracle), and the
+///     session's alias, flow-alias and copy facts under that setting;
+///   * the alias gating Sccp actually applies, after its own collapse of
+///     trivial facts: none, P's unstable mask (only when some entry is
+///     set), or P's per-point flow facts (only when non-trivial). Which
+///     mask or facts is pinned by P and MOD presence, so the tag suffices;
+///   * whether P's copy facts are non-trivial, for the same reason;
+///   * the entry seeds: P's non-BOTTOM VAL cells in symbol order (an
+///     absent seed reads as BOTTOM, so the intraprocedural run — no
+///     solve — keys as the empty list);
+///   * the exact JumpFunction::appendFingerprint bytes of each return
+///     jump function P's call-site kills consult, by kill position. A
+///     missing one, an ambiguous binding and a run without return jump
+///     functions all read as BOTTOM and add nothing. These are keyed by
+///     content, not by jump-function-base identity, because preloaded
+///     (summary) jump functions carry their own; a session build computes
+///     them once per (base, procedure) (ReturnJfKeys).
+///
+/// Nothing else reaches the SCCP, so a replayed count, constant-print
+/// count, substitution-map slice and branch-decision set is exactly what
+/// a fresh run would compute. Expression and statement ids in the
+/// replayed maps are those of this session's AST, which invalidate()
+/// guards by clearing the memo.
+///
 /// Read accessors are thread-safe (the shared-suite runner analyzes one
-/// session from many cells concurrently); invalidate() and ast() require
-/// exclusive use, which the complete-propagation loop — the only mutator
-/// — provides by running on a private clone of the program. Locking is
+/// session from many cells concurrently); invalidate() and mutating
+/// ast() require exclusive use, which only the in-place complete
+/// propagation of runPipelineOnAst needs — runPipelineOnSession never
+/// mutates a session's program (ipcp/Pipeline.h). Locking is
 /// per artifact so that cells of one program do not queue behind each
 /// other: CoreMutex guards the module and the whole-program summaries,
 /// while each SSA bundle (per procedure and UseMod) and each
@@ -67,6 +97,7 @@
 #include "analysis/RefAlias.h"
 #include "analysis/ValueNumbering.h"
 #include "ipcp/JumpFunctionBuilder.h"
+#include "ipcp/Substitution.h"
 #include "ipcp/ValueContextMemo.h"
 #include "ir/Dominators.h"
 #include "ir/Function.h"
@@ -99,6 +130,8 @@ struct SessionStats {
   uint64_t JfBasesReused = 0;  ///< jfBase() calls served from the cache.
   uint64_t SolverMemoHits = 0;   ///< Value-context memo replays (all solves).
   uint64_t SolverMemoMisses = 0; ///< Contexts evaluated fresh (all solves).
+  uint64_t SubstMemoHits = 0;    ///< Procedure substitutions replayed.
+  uint64_t SubstMemoMisses = 0;  ///< Procedure substitutions computed.
 
   /// Field-wise sum (aggregating the sessions of a batch).
   SessionStats &operator+=(const SessionStats &O) {
@@ -112,6 +145,8 @@ struct SessionStats {
     JfBasesReused += O.JfBasesReused;
     SolverMemoHits += O.SolverMemoHits;
     SolverMemoMisses += O.SolverMemoMisses;
+    SubstMemoHits += O.SubstMemoHits;
+    SubstMemoMisses += O.SubstMemoMisses;
     return *this;
   }
 };
@@ -186,6 +221,8 @@ public:
   struct JfBase {
     ProgramJumpFunctions Skeleton;
     std::vector<std::unique_ptr<VnBundle>> Vn;
+    /// The substitution-memo keys of Skeleton.ReturnJfs, per procedure.
+    mutable ReturnJfKeys RjfKeys;
   };
 
   /// The base keyed by every jump-function flag of \p Opts except the
@@ -202,11 +239,23 @@ public:
   /// invalidate().
   ValueContextMemo &solverMemo() { return VcMemo; }
 
+  /// The session-shared substitution memo (see the file comment for its
+  /// key). Thread-safe; cleared by invalidate().
+  SubstitutionMemo &substitutionMemo() { return SubstMemo; }
+
   /// Drops every artifact invalidated by a structural change to the
   /// procedures in \p Dirty (typically DeadCodeElim's dirty-set): their
   /// lowered Functions, plus all derived analyses of every procedure
   /// (see file comment). Requires exclusive use of the session.
   void invalidate(const std::vector<ProcId> &Dirty);
+
+  /// For a fresh session over an id-preserving clone of \p From's program
+  /// whose bodies differ only in \p Dirty (complete propagation's first
+  /// fold): starts this module from copies of From's lowered Functions
+  /// of every other procedure — what invalidate(Dirty) would have kept
+  /// had the fold run in place. Requires exclusive use of this session;
+  /// From is only read.
+  void adoptLowering(AnalysisSession &From, const std::vector<ProcId> &Dirty);
 
   /// Snapshot of the cache counters.
   SessionStats stats() const;
@@ -267,6 +316,7 @@ private:
   std::unordered_map<unsigned, JfSlot> JfSlots;
 
   ValueContextMemo VcMemo;
+  SubstitutionMemo SubstMemo;
 
   Counters C;
 };

@@ -16,6 +16,20 @@
 
 using namespace ipcp;
 
+const std::string &
+ReturnJfKeys::get(ProcId P, const std::function<std::string()> &Compute) {
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    if (auto It = Keys.find(P); It != Keys.end())
+      return *It->second;
+  }
+  auto Fresh = std::make_unique<const std::string>(Compute());
+  std::lock_guard<std::mutex> Lock(M);
+  // The string's heap node never moves, so the reference outlives the
+  // lock.
+  return *Keys.try_emplace(P, std::move(Fresh)).first->second;
+}
+
 const JumpFunction *ProgramJumpFunctions::returnJf(ProcId Callee,
                                                    SymbolId CalleeKey) const {
   if (Callee >= ReturnJfs.size())
@@ -529,6 +543,7 @@ ProgramJumpFunctions ipcp::buildJumpFunctions(
     for (size_t P = 0, E = Base->Skeleton.ReturnJfs.size(); P != E; ++P)
       for (const auto &[Sym, J] : Base->Skeleton.ReturnJfs[P])
         Jfs.ReturnJfs[P].emplace(Sym, J.clone());
+    Jfs.RjfKeys = &Base->RjfKeys;
     foldStats(Jfs.Stats, Base->Skeleton.Stats);
   }
 

@@ -35,7 +35,11 @@
 #include "analysis/Sccp.h"
 #include "ipcp/JumpFunction.h"
 
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -120,6 +124,23 @@ struct CallSiteJumpFunctions {
   std::vector<JumpFunction> Globals;
 };
 
+/// Per-procedure strings derived from one fixed set of return jump
+/// functions, each computed once on first use: the substitution memo's
+/// return-jump-function key component (ipcp/Substitution.h). One instance
+/// lives in each session jump-function base, shared by every
+/// configuration whose return jump functions are copies of that base's.
+/// Thread-safe; a lost race computes the same bytes twice and keeps the
+/// first.
+class ReturnJfKeys {
+public:
+  const std::string &get(ProcId P,
+                         const std::function<std::string()> &Compute);
+
+private:
+  std::mutex M;
+  std::unordered_map<ProcId, std::unique_ptr<const std::string>> Keys;
+};
+
 /// All jump functions of one program, plus evaluation helpers.
 class ProgramJumpFunctions {
 public:
@@ -134,6 +155,11 @@ public:
   std::vector<std::unordered_map<SymbolId, JumpFunction>> ReturnJfs;
 
   JumpFunctionStats Stats;
+
+  /// Set by session builds: the key cache of the jump-function base
+  /// ReturnJfs was copied from. Null for session-less and preloaded
+  /// (summary) jump functions, whose keys are computed per run.
+  ReturnJfKeys *RjfKeys = nullptr;
 
   /// The return jump function of \p Callee for callee-side symbol
   /// \p CalleeKey, or null.

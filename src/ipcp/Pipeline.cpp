@@ -9,6 +9,7 @@
 #include "analysis/CopyProp.h"
 #include "ipcp/AnalysisSession.h"
 #include "ir/CfgBuilder.h"
+#include "lang/AstClone.h"
 #include "lang/AstPrinter.h"
 #include "lang/Parser.h"
 #include "support/Cancellation.h"
@@ -63,21 +64,22 @@ void recordRunFeatures(FuzzFeedback *FB, const PipelineResult &R) {
   FB->hit(FuzzFeature::NeverCalledProcs, R.NeverCalled.size());
 }
 
-} // namespace
+/// Where complete propagation applies a round's dead-code elimination.
+enum class FoldTarget {
+  /// The session's own program (runPipelineOnAst: the caller owns it and
+  /// may execute the result).
+  InPlace,
+  /// A private clone, made by the first round that folds anything; the
+  /// session's program is never touched (runPipelineOnSession).
+  PrivateClone,
+};
 
-PipelineResult ipcp::runPipelineOnSession(AnalysisSession &Session,
-                                          const PipelineOptions &Opts) {
-  return runPipelineOnSession(Session, Opts, nullptr);
-}
-
-PipelineResult
-ipcp::runPipelineOnSession(AnalysisSession &Session,
-                           const PipelineOptions &Opts,
-                           const ProgramJumpFunctions *PreloadedJfs) {
+PipelineResult runRounds(AnalysisSession &Session, const PipelineOptions &Opts,
+                         const ProgramJumpFunctions *PreloadedJfs,
+                         FoldTarget Target) {
   PipelineResult Result;
-  AstContext &Ctx = Session.ast();
   const SymbolTable &Symbols = Session.symbols();
-  const Program &Prog = Ctx.program();
+  const Program &Prog = Session.ast().program();
   if (!Prog.entryProc()) {
     Result.Error = "program has no 'main' procedure";
     return Result;
@@ -103,6 +105,13 @@ ipcp::runPipelineOnSession(AnalysisSession &Session,
     OwnedPool = std::make_unique<ThreadPool>(Opts.Threads);
     Pool = OwnedPool.get();
   }
+
+  // The session the current round analyzes: the caller's, until a
+  // PrivateClone run folds for the first time and moves onto its own
+  // (declared in this order so the session dies before its program).
+  AnalysisSession *Active = &Session;
+  std::unique_ptr<AstContext> PrivateAst;
+  std::unique_ptr<AnalysisSession> Private;
 
   for (const auto &P : Prog.Procs)
     Result.ProcNames.push_back(P->name());
@@ -138,14 +147,14 @@ ipcp::runPipelineOnSession(AnalysisSession &Session,
 
     Clock::time_point Phase = Clock::now();
 
-    const Module &M = Session.module();
-    const CallGraph &CG = Session.callGraph();
+    const Module &M = Active->module();
+    const CallGraph &CG = Active->callGraph();
 
-    const ModRefInfo *MRI = Session.modRef(Opts.UseMod);
+    const ModRefInfo *MRI = Active->modRef(Opts.UseMod);
     // By-reference aliasing is soundness, not a configuration: every
     // per-procedure analysis below must know which formals may share a
     // location with a modified global or sibling formal.
-    const RefAliasInfo &Aliases = Session.refAlias(Opts.UseMod);
+    const RefAliasInfo &Aliases = Active->refAlias(Opts.UseMod);
     Result.AliasPairs = Aliases.numAliasPairs();
     Result.AliasUnstableSymbols = Aliases.numUnstable();
     // Flow-sensitive mode refines (never widens) those baseline facts
@@ -153,7 +162,7 @@ ipcp::runPipelineOnSession(AnalysisSession &Session,
     // the table columns remain comparable across configurations.
     const FlowAliasInfo *FlowAliases = nullptr;
     if (Opts.FlowSensitiveAlias) {
-      FlowAliases = &Session.flowAlias(Opts.UseMod);
+      FlowAliases = &Active->flowAlias(Opts.UseMod);
       Result.AliasPointsRefined = FlowAliases->numRefinedPoints();
     }
     // Copy propagation strictly refines every configuration: loads the
@@ -161,7 +170,7 @@ ipcp::runPipelineOnSession(AnalysisSession &Session,
     // functions and the substitution SCCP below.
     const CopyPropInfo *CopyFacts = nullptr;
     if (Opts.CopyPropagation) {
-      CopyFacts = &Session.copyProp(Opts.UseMod);
+      CopyFacts = &Active->copyProp(Opts.UseMod);
       Result.CopyLoadsResolved = CopyFacts->numResolvedLoads();
     }
     Result.Timings.LowerMs += lapMs(Phase);
@@ -174,14 +183,14 @@ ipcp::runPipelineOnSession(AnalysisSession &Session,
       if (PreloadedJfs) {
         ActiveJfs = PreloadedJfs;
       } else {
-        Jfs = buildJumpFunctions(Session, Opts, Pool);
+        Jfs = buildJumpFunctions(*Active, Opts, Pool);
       }
       Result.Timings.JumpFunctionsMs += lapMs(Phase);
       if (isCancelled(Opts.Cancel))
         return Abandon();
       Solve = solveConstants(Symbols, CG, *ActiveJfs, Opts.Strategy,
                              Opts.Feedback, Opts.Cancel,
-                             &Session.solverMemo());
+                             &Active->solverMemo());
       Result.Timings.SolveMs += lapMs(Phase);
       if (Solve.Cancelled)
         return Abandon();
@@ -192,21 +201,38 @@ ipcp::runPipelineOnSession(AnalysisSession &Session,
 
     SubstitutionResult Subs = countSubstitutions(
         M, Symbols, CG, Opts.IntraproceduralOnly ? nullptr : &Solve, MRI,
-        UseRjfInSccp ? ActiveJfs : nullptr, &Aliases, Pool, &Session,
+        UseRjfInSccp ? ActiveJfs : nullptr, &Aliases, Pool, Active,
         FlowAliases, CopyFacts);
     Result.Timings.SubstituteMs += lapMs(Phase);
 
     bool FinalRound = true;
-    if (Opts.CompletePropagation && !Subs.Branches.empty()) {
+    // The caller's program stays untouched: it is cloned, once, and only
+    // when this round will fold something.
+    bool NeedsClone =
+        Target == FoldTarget::PrivateClone && Active == &Session;
+    if (Opts.CompletePropagation && !Subs.Branches.empty() &&
+        (!NeedsClone || DeadCodeElim::wouldFold(Prog, Subs.Branches))) {
+      if (NeedsClone) {
+        // The clone keeps its ids, so this round's decisions apply to it
+        // unchanged.
+        PrivateAst = cloneProgramResolved(Session.ast());
+        Private = std::make_unique<AnalysisSession>(*PrivateAst, Symbols);
+        Active = Private.get();
+      }
       std::vector<ProcId> Dirty;
-      unsigned Folded = DeadCodeElim::run(Ctx, Subs.Branches, &Dirty);
+      unsigned Folded =
+          DeadCodeElim::run(Active->ast(), Subs.Branches, &Dirty);
       if (Folded != 0) {
         Result.FoldedBranches += Folded;
         ++Result.DceRounds;
         FinalRound = false;
         // Only the procedures DCE mutated are re-lowered next round; the
-        // session drops everything derived from them.
-        Session.invalidate(Dirty);
+        // session drops everything derived from them (a fresh private
+        // one starts from the shared session's lowering of the rest).
+        if (NeedsClone)
+          Active->adoptLowering(Session, Dirty);
+        else
+          Active->invalidate(Dirty);
       }
     }
     if (!FinalRound)
@@ -247,7 +273,8 @@ ipcp::runPipelineOnSession(AnalysisSession &Session,
 
     if (Opts.EmitTransformedSource) {
       AstPrinter Printer(&Subs.Map);
-      Result.TransformedSource = Printer.programToString(Prog);
+      Result.TransformedSource =
+          Printer.programToString(Active->ast().program());
     }
     Result.Substitutions = std::move(Subs.Map);
     recordRunFeatures(Opts.Feedback, Result);
@@ -258,11 +285,25 @@ ipcp::runPipelineOnSession(AnalysisSession &Session,
   }
 }
 
+} // namespace
+
+PipelineResult ipcp::runPipelineOnSession(AnalysisSession &Session,
+                                          const PipelineOptions &Opts) {
+  return runRounds(Session, Opts, nullptr, FoldTarget::PrivateClone);
+}
+
+PipelineResult
+ipcp::runPipelineOnSession(AnalysisSession &Session,
+                           const PipelineOptions &Opts,
+                           const ProgramJumpFunctions *PreloadedJfs) {
+  return runRounds(Session, Opts, PreloadedJfs, FoldTarget::PrivateClone);
+}
+
 PipelineResult ipcp::runPipelineOnAst(AstContext &Ctx,
                                       const SymbolTable &Symbols,
                                       const PipelineOptions &Opts) {
   AnalysisSession Session(Ctx, Symbols);
-  return runPipelineOnSession(Session, Opts);
+  return runRounds(Session, Opts, nullptr, FoldTarget::InPlace);
 }
 
 PipelineResult ipcp::runPipeline(std::string_view Source,

@@ -182,9 +182,10 @@ PipelineResult runPipeline(std::string_view Source,
                            const PipelineOptions &Opts);
 
 /// Runs the analysis phases over an already-checked program. Mutates the
-/// AST when Opts.CompletePropagation. Exposed for the driver and tests.
-/// Constructs a fresh AnalysisSession internally; use
-/// runPipelineOnSession to share caches across configurations.
+/// AST in place when Opts.CompletePropagation, so the caller can execute
+/// the dead-code-eliminated program (the driver, the oracle). Constructs
+/// a fresh AnalysisSession internally; use runPipelineOnSession to share
+/// caches across configurations.
 PipelineResult runPipelineOnAst(AstContext &Ctx, const SymbolTable &Symbols,
                                 const PipelineOptions &Opts);
 
@@ -192,11 +193,20 @@ PipelineResult runPipelineOnAst(AstContext &Ctx, const SymbolTable &Symbols,
 /// AnalysisSession. Lowered IR, call graph, MOD/REF, SSA, and the
 /// configuration-independent jump-function base come from the session's
 /// caches; the result is byte-identical to a cold runPipelineOnAst
-/// (timings excepted). Configurations that never mutate the AST
-/// (!CompletePropagation) may share one session concurrently; complete
-/// propagation mutates the session's AST and invalidates its caches, so
-/// it requires a session no other run is using (the suite runner gives
-/// it a private clone of the program).
+/// (timings excepted). It never mutates the session's program, so any
+/// number of runs, of any configuration, may share one session
+/// concurrently.
+///
+/// Complete propagation keeps that contract. Its first round is an
+/// ordinary run on the shared, warm session — for the default
+/// configuration it is exactly the plain polynomial run, hitting the
+/// same jump-function base, solver memo and substitution memo. Only if
+/// dead-code elimination would fold a branch does the run clone the
+/// program (cloneProgramResolved keeps ids, so the round's decisions
+/// apply to the clone unchanged), fold the clone, and continue the later
+/// rounds on a private session over it, under the same MaxDceRounds bound
+/// and error text. The report — counts, CONSTANTS, transformed source —
+/// is the one runPipelineOnAst produces by folding in place.
 PipelineResult runPipelineOnSession(AnalysisSession &Session,
                                     const PipelineOptions &Opts);
 

@@ -19,15 +19,125 @@
 
 using namespace ipcp;
 
+const ProcSubstitutions *SubstitutionMemo::find(const std::string &Key) {
+  Shard &S = shardOf(Key);
+  std::lock_guard<std::mutex> Lock(S.M);
+  auto It = S.Entries.find(Key);
+  if (It == S.Entries.end()) {
+    MissCount.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
+  HitCount.fetch_add(1, std::memory_order_relaxed);
+  return &It->second;
+}
+
+const ProcSubstitutions &
+SubstitutionMemo::record(std::string &&Key, ProcSubstitutions &&Value) {
+  Shard &S = shardOf(Key);
+  std::lock_guard<std::mutex> Lock(S.M);
+  return S.Entries.try_emplace(std::move(Key), std::move(Value))
+      .first->second;
+}
+
+void SubstitutionMemo::clear() {
+  for (Shard &S : Shards) {
+    std::lock_guard<std::mutex> Lock(S.M);
+    S.Entries.clear();
+  }
+}
+
 namespace {
 
-/// One procedure's share of the substitution pass.
-struct ProcSubstitutions {
-  unsigned Count = 0;
-  unsigned ConstantPrints = 0;
-  SubstitutionMap Map;
-  DeadCodeElim::Decisions Branches;
-};
+void appendU32(std::string &Out, uint32_t V) {
+  Out.append(reinterpret_cast<const char *>(&V), sizeof V);
+}
+
+/// The return jump functions \p Ssa's call-site kills consult, as
+/// (kill position, fingerprint) pairs: exactly what the kill callback
+/// can read. An ambiguous binding or an absent function reads as BOTTOM,
+/// so it contributes nothing — the same bytes as running without return
+/// jump functions at all.
+std::string returnJfKey(const ProgramJumpFunctions &Jfs, const SsaForm &Ssa,
+                        const SymbolTable &Symbols) {
+  std::string Out;
+  const Function &F = Ssa.function();
+  uint32_t KillPos = 0;
+  for (BlockId B = 0, BE = static_cast<BlockId>(F.numBlocks()); B != BE;
+       ++B) {
+    const auto &Instrs = F.block(B).Instrs;
+    for (uint32_t I = 0, IE = static_cast<uint32_t>(Instrs.size()); I != IE;
+         ++I) {
+      const Instr &In = Instrs[I];
+      if (In.Op != Opcode::Call)
+        continue;
+      for (const auto &[Killed, Def] : Ssa.instrInfo(B, I).Kills) {
+        uint32_t Pos = KillPos++;
+        auto CalleeKey =
+            ProgramJumpFunctions::calleeKeyForKill(In, Killed, Symbols);
+        const JumpFunction *Rjf =
+            CalleeKey ? Jfs.returnJf(In.Callee, *CalleeKey) : nullptr;
+        if (!Rjf)
+          continue;
+        appendU32(Out, Pos);
+        Rjf->appendFingerprint(Out);
+      }
+    }
+  }
+  return Out;
+}
+
+/// The substitution-memo key of procedure \p P: every input its seeded
+/// SCCP reads (see AnalysisSession.h for the argument).
+std::string memoKey(ProcId P, bool UseMod, const SolveResult *Solve,
+                    const ProgramJumpFunctions *Jfs, const SsaForm &Ssa,
+                    const SymbolTable &Symbols, const RefAliasInfo *Aliases,
+                    const FlowAliasInfo *FlowAliases,
+                    const CopyPropInfo *CopyFacts) {
+  std::string Key;
+  appendU32(Key, P);
+  Key += UseMod ? 'M' : 'm';
+  // The gating Sccp will actually apply: trivial flow facts collapse to
+  // none, and an all-clear mask gates nothing. Which facts they are is
+  // fixed by (P, UseMod) within the session.
+  char Gating = 'n';
+  if (FlowAliases) {
+    if (!FlowAliases->proc(P).trivial())
+      Gating = 'f';
+  } else if (Aliases && Aliases->anyUnstable(P)) {
+    Gating = 'u';
+  }
+  Key += Gating;
+  Key += CopyFacts && !CopyFacts->proc(P).trivial() ? 'C' : 'c';
+
+  // An absent seed reads as BOTTOM, and no solve seeds nothing, so only
+  // the non-BOTTOM seeds are keyed, in symbol order, after their count
+  // (which keeps the key unambiguous: each seed and each return jump
+  // function fingerprint is self-delimiting).
+  std::vector<std::pair<SymbolId, LatticeValue>> Seeds;
+  if (Solve)
+    for (const auto &[Sym, V] : Solve->Val.at(P))
+      if (!V.isBottom())
+        Seeds.emplace_back(Sym, V);
+  std::sort(Seeds.begin(), Seeds.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+  appendU32(Key, static_cast<uint32_t>(Seeds.size()));
+  for (const auto &[Sym, V] : Seeds) {
+    appendU32(Key, Sym);
+    if (V.isConst()) {
+      int64_t C = V.value();
+      Key += 'c';
+      Key.append(reinterpret_cast<const char *>(&C), sizeof C);
+    } else {
+      Key += 't';
+    }
+  }
+
+  if (Jfs) {
+    auto Compute = [&] { return returnJfKey(*Jfs, Ssa, Symbols); };
+    Key += Jfs->RjfKeys ? Jfs->RjfKeys->get(P, Compute) : Compute();
+  }
+  return Key;
+}
 
 ProcSubstitutions countProc(const Module &M, const SymbolTable &Symbols,
                             const SolveResult *Solve,
@@ -130,18 +240,37 @@ SubstitutionResult ipcp::countSubstitutions(
   // its own slot), then merge serially in the fixed top-down order. The
   // merged maps are keyed by program-unique expression/statement ids, so
   // the merge is disjoint and the result identical to the serial pass.
+  //
+  // With a session, each procedure's result is replayed from the memo
+  // when its key matches an earlier run's, else computed and recorded.
+  const bool UseMod = MRI != nullptr;
+  SubstitutionMemo *Memo = Session ? &Session->substitutionMemo() : nullptr;
   const auto &Order = CG.topDownOrder();
-  std::vector<ProcSubstitutions> PerProc(Order.size());
+  std::vector<const ProcSubstitutions *> PerProc(Order.size());
+  std::vector<ProcSubstitutions> Fresh(Memo ? 0 : Order.size());
   parallelFor(Pool, Order.size(), [&](size_t I) {
-    const SsaForm *CachedSsa =
-        Session ? &Session->ssa(Order[I], MRI != nullptr).Ssa : nullptr;
-    PerProc[I] = countProc(M, Symbols, Solve, KillOracle, KillFnPtr,
-                           Aliases, FlowAliases, CopyFacts, Order[I],
-                           CachedSsa);
+    ProcId P = Order[I];
+    const SsaForm *CachedSsa = Session ? &Session->ssa(P, UseMod).Ssa : nullptr;
+    if (!Memo) {
+      Fresh[I] = countProc(M, Symbols, Solve, KillOracle, KillFnPtr, Aliases,
+                           FlowAliases, CopyFacts, P, CachedSsa);
+      PerProc[I] = &Fresh[I];
+      return;
+    }
+    std::string Key = memoKey(P, UseMod, Solve, Jfs, *CachedSsa, Symbols,
+                              Aliases, FlowAliases, CopyFacts);
+    if (const ProcSubstitutions *Hit = Memo->find(Key)) {
+      PerProc[I] = Hit;
+      return;
+    }
+    PerProc[I] = &Memo->record(
+        std::move(Key),
+        countProc(M, Symbols, Solve, KillOracle, KillFnPtr, Aliases,
+                  FlowAliases, CopyFacts, P, CachedSsa));
   });
 
   for (size_t I = 0; I != Order.size(); ++I) {
-    ProcSubstitutions &PS = PerProc[I];
+    const ProcSubstitutions &PS = *PerProc[I];
     Result.Total += PS.Count;
     Result.PerProc[Order[I]] = PS.Count;
     Result.ConstantPrints += PS.ConstantPrints;

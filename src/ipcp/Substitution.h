@@ -33,6 +33,11 @@
 #include "ipcp/Solver.h"
 #include "lang/AstPrinter.h"
 
+#include <atomic>
+#include <cstdint>
+#include <mutex>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace ipcp {
@@ -57,6 +62,56 @@ struct SubstitutionResult {
   unsigned ConstantPrints = 0;
 };
 
+/// One procedure's share of the substitution pass: the unit the session's
+/// substitution memo stores and replays.
+struct ProcSubstitutions {
+  unsigned Count = 0;
+  unsigned ConstantPrints = 0;
+  SubstitutionMap Map;
+  DeadCodeElim::Decisions Branches;
+};
+
+/// A session's per-procedure substitution results, keyed by everything
+/// one procedure's seeded SCCP reads (the key argument is in
+/// ipcp/AnalysisSession.h). Sharded; entries are immutable once
+/// published and their nodes never move, so a replay pointer stays valid
+/// without the lock. clear() requires exclusive use.
+class SubstitutionMemo {
+public:
+  SubstitutionMemo() = default;
+  SubstitutionMemo(const SubstitutionMemo &) = delete;
+  SubstitutionMemo &operator=(const SubstitutionMemo &) = delete;
+
+  /// The recorded result for \p Key, or null; counts a hit or a miss.
+  const ProcSubstitutions *find(const std::string &Key);
+
+  /// Publishes a fresh result and returns the stored one (first writer
+  /// wins; a concurrent loser computed the same result).
+  const ProcSubstitutions &record(std::string &&Key,
+                                  ProcSubstitutions &&Value);
+
+  uint64_t hits() const { return HitCount.load(std::memory_order_relaxed); }
+  uint64_t misses() const {
+    return MissCount.load(std::memory_order_relaxed);
+  }
+
+  /// Drops every entry; the counters survive, like ValueContextMemo's.
+  void clear();
+
+private:
+  static constexpr size_t NumShards = 8;
+  struct Shard {
+    std::mutex M;
+    std::unordered_map<std::string, ProcSubstitutions> Entries;
+  };
+  Shard &shardOf(const std::string &Key) {
+    return Shards[std::hash<std::string>()(Key) % NumShards];
+  }
+  Shard Shards[NumShards];
+  std::atomic<uint64_t> HitCount{0};
+  std::atomic<uint64_t> MissCount{0};
+};
+
 /// Runs the seeded-SCCP substitution pass.
 ///
 /// \p Solve supplies the entry seeds (CONSTANTS sets); pass null for the
@@ -79,8 +134,12 @@ struct SubstitutionResult {
 ///
 /// With a non-null \p Session each procedure's dominator tree and SSA
 /// form come from the session's per-procedure cache (keyed by MOD
-/// presence, which the kill oracle depends on) instead of being rebuilt;
-/// the result is byte-identical either way.
+/// presence, which the kill oracle depends on) instead of being rebuilt,
+/// and each procedure's result is looked up in, or recorded into, the
+/// session's substitution memo; the result is byte-identical either way.
+/// The memo keys the alias, flow-alias and copy facts by presence, so
+/// with a session they must be the session's own under the MOD setting
+/// \p MRI implies.
 ///
 /// With a non-null \p CopyFacts each procedure's SCCP run consumes the
 /// copy-propagation facts (analysis/CopyProp.h): array loads whose cell

@@ -10,6 +10,16 @@
 
 using namespace ipcp;
 
+std::unique_ptr<Function> Function::clone() const {
+  auto Copy = std::make_unique<Function>(Proc, Name);
+  Copy->Blocks.reserve(Blocks.size());
+  for (const auto &BB : Blocks)
+    Copy->Blocks.push_back(std::make_unique<BasicBlock>(*BB));
+  Copy->Exit = Exit;
+  Copy->NumTemps = NumTemps;
+  return Copy;
+}
+
 void Function::computePreds() {
   for (auto &BB : Blocks)
     BB->Preds.clear();

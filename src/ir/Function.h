@@ -92,6 +92,10 @@ public:
 
   size_t numInstrs() const;
 
+  /// A deep copy (a session over an id-preserving clone of the program
+  /// adopts the lowering of procedures the clone left unchanged).
+  std::unique_ptr<Function> clone() const;
+
 private:
   ProcId Proc;
   std::string Name;

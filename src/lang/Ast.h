@@ -474,6 +474,26 @@ public:
     return createNode<T>(Loc, NextStmtId++, std::forward<Args>(Rest)...);
   }
 
+  /// Allocates an expression node under a caller-chosen id, for
+  /// id-preserving clones; the caller keeps ids program-unique.
+  template <typename T, typename... Args>
+  T *createExprWithId(ExprId Id, SourceLoc Loc, Args &&...Rest) {
+    return createNode<T>(Loc, Id, std::forward<Args>(Rest)...);
+  }
+
+  /// Allocates a statement node under a caller-chosen id.
+  template <typename T, typename... Args>
+  T *createStmtWithId(StmtId Id, SourceLoc Loc, Args &&...Rest) {
+    return createNode<T>(Loc, Id, std::forward<Args>(Rest)...);
+  }
+
+  /// Continues id assignment where \p Src's would: the next nodes created
+  /// here get the ids \p Src would hand out next.
+  void continueIdsFrom(const AstContext &Src) {
+    NextExprId = Src.NextExprId;
+    NextStmtId = Src.NextStmtId;
+  }
+
   ExprId numExprIds() const { return NextExprId; }
   StmtId numStmtIds() const { return NextStmtId; }
 

@@ -10,7 +10,8 @@
 /// locals; the cloning transform duplicates whole procedures verbatim.
 /// Cloned nodes get fresh ids from the destination context; resolved
 /// symbols are NOT copied — clone consumers re-run Sema (typically by
-/// printing and re-parsing).
+/// printing and re-parsing). The *Resolved variants below copy the
+/// bindings instead, and cloneProgramResolved also keeps the ids.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,22 +54,15 @@ Expr *cloneExprResolved(AstContext &Ctx, const Expr *E);
 /// Clones \p V (keeping it a VarRefExpr) with its resolved symbol.
 VarRefExpr *cloneVarRefResolved(AstContext &Ctx, const VarRefExpr *V);
 
-/// Clones a statement tree verbatim with resolved symbols and call
-/// targets preserved, so the clone is analyzable under the original
-/// SymbolTable without re-running Sema.
-Stmt *cloneStmtResolved(AstContext &Ctx, const Stmt *S);
-
-/// Clones a statement list verbatim with resolved bindings.
-std::vector<Stmt *> cloneStmtsResolved(AstContext &Ctx,
-                                       const std::vector<Stmt *> &Stmts);
-
 /// Deep-copies a whole checked program into a fresh AstContext,
 /// preserving every resolved symbol binding and callee id. The clone
 /// shares the source program's SymbolTable (symbol ids are copied, not
 /// re-derived), so mutating passes like dead-code elimination can run on
 /// the copy while other readers keep analyzing the original. Expression
-/// and statement ids are freshly assigned by the destination context and
-/// in general differ from the source's.
+/// and statement ids are preserved too, and the clone hands out new ids
+/// where the source would: results keyed by the source's ids (branch
+/// decisions, substitution maps) apply to the clone unchanged, and a pass
+/// run on the clone assigns the ids it would have assigned in place.
 std::unique_ptr<AstContext> cloneProgramResolved(const AstContext &Src);
 
 } // namespace ipcp

@@ -7,10 +7,16 @@
 #include "lang/Parser.h"
 
 #include <cassert>
+#include <string>
 
 using namespace ipcp;
 
 namespace {
+
+/// Thrown past MaxNestingDepth to abandon the whole parse.
+struct NestingTooDeep {
+  SourceLoc Loc;
+};
 
 /// Recursive-descent parser over a pre-lexed token stream.
 class Parser {
@@ -22,11 +28,37 @@ public:
   }
 
   std::unique_ptr<AstContext> run() {
-    parseProgram();
+    try {
+      parseProgram();
+    } catch (const NestingTooDeep &E) {
+      Diags.error(E.Loc, "nesting too deep: more than " +
+                             std::to_string(MaxNestingDepth) +
+                             " nested statements and expressions");
+    }
     return std::move(Ctx);
   }
 
 private:
+  /// Restores the nesting depth on scope exit, however many levels the
+  /// scope entered.
+  class DepthScope {
+  public:
+    explicit DepthScope(Parser &P) : P(P), Saved(P.Depth) {}
+    ~DepthScope() { P.Depth = Saved; }
+    DepthScope(const DepthScope &) = delete;
+    DepthScope &operator=(const DepthScope &) = delete;
+
+  private:
+    Parser &P;
+    unsigned Saved;
+  };
+
+  /// Enters one more level of nesting (see MaxNestingDepth).
+  void nest() {
+    if (++Depth > MaxNestingDepth)
+      throw NestingTooDeep{peek().Loc};
+  }
+
   const Token &peek(unsigned Ahead = 0) const {
     size_t I = Pos + Ahead;
     return I < Tokens.size() ? Tokens[I] : Tokens.back();
@@ -308,6 +340,8 @@ private:
   }
 
   Stmt *parseIf() {
+    DepthScope Scope(*this);
+    nest();
     SourceLoc Loc = advance().Loc; // 'if' or 'elseif'
     expect(TokenKind::LParen, "after 'if'");
     Expr *Cond = parseExpr();
@@ -339,6 +373,8 @@ private:
   }
 
   Stmt *parseDo() {
+    DepthScope Scope(*this);
+    nest();
     SourceLoc Loc = advance().Loc; // 'do'
     if (!check(TokenKind::Identifier)) {
       Diags.error(peek().Loc, "expected loop variable after 'do'");
@@ -366,6 +402,8 @@ private:
   }
 
   Stmt *parseWhile() {
+    DepthScope Scope(*this);
+    nest();
     SourceLoc Loc = advance().Loc; // 'while'
     expect(TokenKind::LParen, "after 'while'");
     Expr *Cond = parseExpr();
@@ -404,11 +442,20 @@ private:
   // Expressions
   //===--------------------------------------------------------------------===//
 
-  Expr *parseExpr() { return parseOr(); }
+  Expr *parseExpr() {
+    DepthScope Scope(*this);
+    nest();
+    return parseOr();
+  }
+
+  // The binary-operator loops build left-deep trees: each step nests the
+  // chain so far one level deeper.
 
   Expr *parseOr() {
+    DepthScope Scope(*this);
     Expr *Lhs = parseAnd();
     while (check(TokenKind::KwOr)) {
+      nest();
       SourceLoc Loc = advance().Loc;
       Expr *Rhs = parseAnd();
       Lhs = Ctx->createExpr<BinaryExpr>(Loc, BinaryOp::LogicalOr, Lhs, Rhs);
@@ -417,8 +464,10 @@ private:
   }
 
   Expr *parseAnd() {
+    DepthScope Scope(*this);
     Expr *Lhs = parseNot();
     while (check(TokenKind::KwAnd)) {
+      nest();
       SourceLoc Loc = advance().Loc;
       Expr *Rhs = parseNot();
       Lhs = Ctx->createExpr<BinaryExpr>(Loc, BinaryOp::LogicalAnd, Lhs, Rhs);
@@ -427,7 +476,9 @@ private:
   }
 
   Expr *parseNot() {
+    DepthScope Scope(*this);
     if (check(TokenKind::KwNot)) {
+      nest();
       SourceLoc Loc = advance().Loc;
       Expr *Operand = parseNot();
       return Ctx->createExpr<UnaryExpr>(Loc, UnaryOp::LogicalNot, Operand);
@@ -465,6 +516,7 @@ private:
   }
 
   Expr *parseAdditive() {
+    DepthScope Scope(*this);
     Expr *Lhs = parseMultiplicative();
     for (;;) {
       BinaryOp Op;
@@ -474,6 +526,7 @@ private:
         Op = BinaryOp::Sub;
       else
         return Lhs;
+      nest();
       SourceLoc Loc = advance().Loc;
       Expr *Rhs = parseMultiplicative();
       Lhs = Ctx->createExpr<BinaryExpr>(Loc, Op, Lhs, Rhs);
@@ -481,6 +534,7 @@ private:
   }
 
   Expr *parseMultiplicative() {
+    DepthScope Scope(*this);
     Expr *Lhs = parseUnary();
     for (;;) {
       BinaryOp Op;
@@ -492,6 +546,7 @@ private:
         Op = BinaryOp::Mod;
       else
         return Lhs;
+      nest();
       SourceLoc Loc = advance().Loc;
       Expr *Rhs = parseUnary();
       Lhs = Ctx->createExpr<BinaryExpr>(Loc, Op, Lhs, Rhs);
@@ -499,7 +554,9 @@ private:
   }
 
   Expr *parseUnary() {
+    DepthScope Scope(*this);
     if (check(TokenKind::Minus)) {
+      nest();
       SourceLoc Loc = advance().Loc;
       Expr *Operand = parseUnary();
       return Ctx->createExpr<UnaryExpr>(Loc, UnaryOp::Neg, Operand);
@@ -539,6 +596,8 @@ private:
   std::unique_ptr<AstContext> Ctx;
   std::vector<Token> Tokens;
   size_t Pos = 0;
+  /// Current nesting (see MaxNestingDepth).
+  unsigned Depth = 0;
 };
 
 } // namespace

@@ -9,7 +9,6 @@
 #include "exec/Oracle.h"
 #include "fuzz/Corpus.h"
 #include "fuzz/Fuzzer.h"
-#include "lang/AstClone.h"
 #include "support/FuzzFeedback.h"
 #include "workloads/Suite.h"
 
@@ -202,17 +201,9 @@ void Server::computeAnalyze(InflightOp &Op) {
   PO.Cancel = Op.Cancel.get();
   PO.EmitTransformedSource = Op.Req.Report.EmitSource;
 
-  PipelineResult R;
-  if (PO.CompletePropagation) {
-    // Complete propagation mutates the AST it analyzes; give it a
-    // private resolved clone so the cached session stays pristine (the
-    // SuiteRunner contract).
-    std::unique_ptr<AstContext> Clone = cloneProgramResolved(*P->Ctx);
-    AnalysisSession Private(*Clone, P->Symbols);
-    R = runPipelineOnSession(Private, PO);
-  } else {
-    R = runPipelineOnSession(*P->Session, PO);
-  }
+  // Complete propagation included: its rounds never mutate the cached
+  // program (ipcp/Pipeline.h).
+  PipelineResult R = runPipelineOnSession(*P->Session, PO);
 
   if (R.Cancelled) {
     completeError(Op, ServeErrorKind::Deadline, R.Error);
@@ -395,12 +386,18 @@ JsonValue Server::statsJson() const {
   // has run (resident + evicted). The hit *rate* is the headline — raw
   // counters alone hid a 0-hit memo for three PRs — with the empty
   // denominator reported as 0 rather than NaN.
-  JsonValue M = JsonValue::object();
-  M.set("hits", JsonValue(CS.MemoHits));
-  M.set("misses", JsonValue(CS.MemoMisses));
-  uint64_t MemoTotal = CS.MemoHits + CS.MemoMisses;
-  M.set("hit_rate",
-        JsonValue(MemoTotal ? double(CS.MemoHits) / double(MemoTotal) : 0.0));
-  S.set("solver_memo", M);
+  auto MemoStats = [](uint64_t Hits, uint64_t Misses) {
+    JsonValue M = JsonValue::object();
+    M.set("hits", JsonValue(Hits));
+    M.set("misses", JsonValue(Misses));
+    uint64_t Total = Hits + Misses;
+    M.set("hit_rate",
+          JsonValue(Total ? double(Hits) / double(Total) : 0.0));
+    return M;
+  };
+  S.set("solver_memo", MemoStats(CS.MemoHits, CS.MemoMisses));
+  // The substitution memo (stage 4), aggregated the same way.
+  S.set("substitution_memo",
+        MemoStats(CS.SubstMemoHits, CS.SubstMemoMisses));
   return S;
 }

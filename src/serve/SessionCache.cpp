@@ -71,6 +71,10 @@ SessionCache::acquire(const std::string &Source, bool &WasResident) {
                                 std::memory_order_relaxed);
       RetiredMemoMisses.fetch_add(S->solverMemo().misses(),
                                   std::memory_order_relaxed);
+      RetiredSubstMemoHits.fetch_add(S->substitutionMemo().hits(),
+                                     std::memory_order_relaxed);
+      RetiredSubstMemoMisses.fetch_add(S->substitutionMemo().misses(),
+                                       std::memory_order_relaxed);
     }
     Doomed = std::move(VictimIt->second.P);
     Index.erase(VictimIt);
@@ -103,6 +107,8 @@ SessionCacheStats SessionCache::stats() const {
   S.Evictions = Evictions.load(std::memory_order_relaxed);
   S.MemoHits = RetiredMemoHits.load(std::memory_order_relaxed);
   S.MemoMisses = RetiredMemoMisses.load(std::memory_order_relaxed);
+  S.SubstMemoHits = RetiredSubstMemoHits.load(std::memory_order_relaxed);
+  S.SubstMemoMisses = RetiredSubstMemoMisses.load(std::memory_order_relaxed);
   {
     auto *Self = const_cast<SessionCache *>(this);
     std::lock_guard<std::mutex> Lock(Self->Mutex);
@@ -112,6 +118,8 @@ SessionCacheStats SessionCache::stats() const {
               Slot.P->SessionReady.load(std::memory_order_acquire)) {
         S.MemoHits += Live->solverMemo().hits();
         S.MemoMisses += Live->solverMemo().misses();
+        S.SubstMemoHits += Live->substitutionMemo().hits();
+        S.SubstMemoMisses += Live->substitutionMemo().misses();
       }
     }
   }

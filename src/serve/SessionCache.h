@@ -20,9 +20,9 @@
 /// handed out as shared_ptr, so an entry evicted while a slow request
 /// still analyzes it stays alive until that request finishes. Frontend
 /// construction is per-entry call_once: concurrent first requests for
-/// the same source parse it exactly once. Sessions are shared by
-/// non-mutating configurations only; complete-propagation requests
-/// analyze a private resolved clone (the SuiteRunner contract).
+/// the same source parse it exactly once. Every configuration shares the
+/// session: runPipelineOnSession never mutates its program (complete
+/// propagation folds a private clone).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,6 +57,9 @@ struct SessionCacheStats {
   /// view of how often warm sessions replayed recorded evaluations.
   uint64_t MemoHits = 0;
   uint64_t MemoMisses = 0;
+  /// The substitution memo's counters, summed the same way.
+  uint64_t SubstMemoHits = 0;
+  uint64_t SubstMemoMisses = 0;
 };
 
 class SessionCache {
@@ -134,6 +137,8 @@ private:
   /// snapshot, not an audit.)
   std::atomic<uint64_t> RetiredMemoHits{0};
   std::atomic<uint64_t> RetiredMemoMisses{0};
+  std::atomic<uint64_t> RetiredSubstMemoHits{0};
+  std::atomic<uint64_t> RetiredSubstMemoMisses{0};
 };
 
 } // namespace ipcp

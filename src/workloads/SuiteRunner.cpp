@@ -7,7 +7,6 @@
 #include "workloads/SuiteRunner.h"
 
 #include "ipcp/AnalysisConfig.h"
-#include "lang/AstClone.h"
 #include "lang/Parser.h"
 #include "support/ThreadPool.h"
 
@@ -107,13 +106,13 @@ SuiteRunResult ipcp::runSuite(const std::vector<WorkloadProgram> &Programs,
   Result.Cells.resize(Programs.size() * Configs.size());
 
   // Sharing contract: in Shared mode every program is parsed and checked
-  // once; cells of configurations that never mutate the AST analyze the
-  // program's one AnalysisSession concurrently (its read accessors are
-  // thread-safe), while complete-propagation cells — whose DCE rounds
-  // rewrite statements — get a private resolved clone of the checked
-  // program plus their own session, so the shared snapshot stays
-  // immutable for the whole batch. In PerCell mode every cell re-parses
-  // from source inside runPipeline and shares nothing.
+  // once, and every cell analyzes the program's one AnalysisSession
+  // concurrently (its read accessors are thread-safe). Complete
+  // propagation runs its first round there too and moves onto a private
+  // clone only if dead-code elimination folds something
+  // (runPipelineOnSession), so the shared snapshot stays immutable for
+  // the whole batch. In PerCell mode every cell re-parses from source
+  // inside runPipeline and shares nothing.
   //
   // Threading: at most one pool exists. With batch-level fan-out
   // (Jobs != 1) the cells run serially inside themselves; with serial
@@ -171,10 +170,6 @@ SuiteRunResult ipcp::runSuite(const std::vector<WorkloadProgram> &Programs,
       R = runPipeline(Programs[P].Source, Opts);
     } else if (ProgState &PS = States[P]; !PS.Ok) {
       R.Error = PS.Error;
-    } else if (Opts.CompletePropagation) {
-      auto Clone = cloneProgramResolved(*PS.Ctx);
-      AnalysisSession Private(*Clone, PS.Symbols);
-      R = runPipelineOnSession(Private, Opts);
     } else {
       R = runPipelineOnSession(*PS.Session, Opts);
     }

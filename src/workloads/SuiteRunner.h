@@ -97,7 +97,7 @@ struct SuiteRunResult {
   /// Shared mode only: cache counters summed over the per-program
   /// sessions, each snapshotted by its program's last cell just before
   /// the session is freed (the private clones complete-propagation cells
-  /// analyze are not included).
+  /// fold are not included).
   SessionStats Cache;
 
   const SuiteCell &cell(size_t Program, size_t Config) const {
@@ -112,9 +112,9 @@ enum class SuiteSharing : uint8_t {
   PerCell,
   /// One frontend pass and one AnalysisSession per program; the
   /// program's cells share the session's lowered IR, SSA, and
-  /// jump-function bases. Complete-propagation cells, which mutate the
-  /// AST, analyze a private resolved clone of the checked program
-  /// instead (lang/AstClone.h) — never the shared snapshot. Results are
+  /// jump-function bases and memos. Complete-propagation cells run their
+  /// first round on the shared session too and fold only a private clone
+  /// (runPipelineOnSession) — never the shared snapshot. Results are
   /// byte-identical to PerCell.
   Shared,
 };

@@ -22,7 +22,7 @@
 #include "ipcp/Pipeline.h"
 #include "ipcp/Solver.h"
 #include "ipcp/Substitution.h"
-#include "lang/AstClone.h"
+#include "lang/AstPrinter.h"
 #include "support/ThreadPool.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Suite.h"
@@ -47,11 +47,11 @@ using namespace ipcp::test;
 
 namespace {
 
-/// Serializes everything a PipelineResult reports except timings and
-/// AST-id-keyed data. Complete-propagation cells analyze a resolved
-/// clone in warm mode, whose expressions carry fresh ids, so the
-/// fingerprint uses the sorted substituted *values* plus the transformed
-/// source (which is id-free) rather than the Substitutions keys.
+/// Serializes everything a PipelineResult reports except timings and the
+/// warmth-dependent memo counters. The substitution map is keyed by
+/// expression id; a warm complete-propagation run continues on a clone
+/// that keeps the ids (and assigns new ones as an in-place fold would),
+/// so the map compares exactly.
 std::string fingerprint(const PipelineResult &R) {
   std::ostringstream Out;
   Out << R.Ok << '|' << R.Error << '|' << R.SubstitutedConstants << '|'
@@ -85,12 +85,11 @@ std::string fingerprint(const PipelineResult &R) {
   // cold run evaluates fresh.
   Out << R.SolverProcVisits << ' ' << R.SolverJfEvaluations << ' '
       << R.SolverCellLowerings << '\n';
-  std::vector<int64_t> Values;
-  for (const auto &[Id, Value] : R.Substitutions)
-    Values.push_back(Value);
-  std::sort(Values.begin(), Values.end());
-  for (int64_t V : Values)
-    Out << V << ' ';
+  std::vector<std::pair<ExprId, int64_t>> Map(R.Substitutions.begin(),
+                                               R.Substitutions.end());
+  std::sort(Map.begin(), Map.end());
+  for (const auto &[Id, Value] : Map)
+    Out << Id << '=' << Value << ' ';
   Out << '\n' << R.TransformedSource;
   return Out.str();
 }
@@ -114,13 +113,101 @@ WarmProgram warmUp(const std::string &Source) {
   return W;
 }
 
-PipelineResult warmRun(WarmProgram &W, PipelineOptions Opts) {
-  if (Opts.CompletePropagation) {
-    auto Clone = cloneProgramResolved(*W.Ctx);
-    AnalysisSession Private(*Clone, W.Symbols);
-    return runPipelineOnSession(Private, Opts);
-  }
+PipelineResult warmRun(WarmProgram &W, const PipelineOptions &Opts) {
   return runPipelineOnSession(*W.Session, Opts);
+}
+
+/// Every field of a substitution pass, branch decisions included.
+std::string substitutionFingerprint(const SubstitutionResult &R) {
+  std::ostringstream Out;
+  Out << R.Total << '|' << R.ConstantPrints << '|';
+  for (unsigned N : R.PerProc)
+    Out << N << ' ';
+  std::vector<std::pair<ExprId, int64_t>> Map(R.Map.begin(), R.Map.end());
+  std::sort(Map.begin(), Map.end());
+  for (const auto &[Id, Value] : Map)
+    Out << Id << '=' << Value << ' ';
+  Out << '|';
+  std::vector<std::pair<StmtId, bool>> Branches(R.Branches.begin(),
+                                                R.Branches.end());
+  std::sort(Branches.begin(), Branches.end());
+  for (const auto &[Id, Taken] : Branches)
+    Out << Id << (Taken ? 't' : 'f') << ' ';
+  return Out.str();
+}
+
+/// The first-round substitution pass of \p Opts over \p W's session,
+/// three ways: through the session's memo with the base's cached
+/// return-JF keys, through the memo with keys computed from content (as
+/// for preloaded summary jump functions), and session-less from scratch.
+/// All three must agree on every field, and the content-keyed lookup
+/// must hit for every procedure the first one recorded.
+void expectMemoReplayEqualsFresh(WarmProgram &W, const PipelineOptions &Opts,
+                                 const std::string &Label) {
+  AnalysisSession &S = *W.Session;
+  const Module &M = S.module();
+  const CallGraph &CG = S.callGraph();
+  const ModRefInfo *MRI = S.modRef(Opts.UseMod);
+  const RefAliasInfo &Aliases = S.refAlias(Opts.UseMod);
+  const FlowAliasInfo *Flow =
+      Opts.FlowSensitiveAlias ? &S.flowAlias(Opts.UseMod) : nullptr;
+  const CopyPropInfo *Copy =
+      Opts.CopyPropagation ? &S.copyProp(Opts.UseMod) : nullptr;
+  ProgramJumpFunctions Jfs;
+  SolveResult Solve;
+  if (!Opts.IntraproceduralOnly) {
+    Jfs = buildJumpFunctions(S, Opts);
+    Solve = solveConstants(W.Symbols, CG, Jfs);
+  }
+  const SolveResult *SolvePtr = Opts.IntraproceduralOnly ? nullptr : &Solve;
+  ProgramJumpFunctions *JfsPtr =
+      !Opts.IntraproceduralOnly && Opts.UseReturnJumpFunctions ? &Jfs
+                                                               : nullptr;
+  auto Run = [&](AnalysisSession *Session) {
+    return substitutionFingerprint(
+        countSubstitutions(M, W.Symbols, CG, SolvePtr, MRI, JfsPtr, &Aliases,
+                           nullptr, Session, Flow, Copy));
+  };
+  std::string Fresh = Run(nullptr);
+  EXPECT_EQ(Run(&S), Fresh) << Label;
+  if (JfsPtr)
+    JfsPtr->RjfKeys = nullptr;
+  uint64_t Hits = S.substitutionMemo().hits();
+  EXPECT_EQ(Run(&S), Fresh) << Label << " (content-keyed)";
+  EXPECT_EQ(S.substitutionMemo().hits(), Hits + CG.topDownOrder().size())
+      << Label << " (content-keyed)";
+}
+
+/// Runs every configuration on one warm session forward, then in reverse
+/// (so each configuration also meets a memo warmed by the ones after
+/// it), and checks each run against a cold runPipeline and each
+/// first-round substitution pass against a session-less one.
+void expectWarmEqualsColdBothOrders(const std::string &Source,
+                                    const std::string &Label) {
+  std::vector<SuiteConfig> Configs = allConfigs();
+  std::vector<std::string> Cold;
+  for (const SuiteConfig &C : Configs) {
+    PipelineOptions Opts = C.Opts;
+    Opts.EmitTransformedSource = true;
+    Cold.push_back(fingerprint(runPipeline(Source, Opts)));
+  }
+  WarmProgram W = warmUp(Source);
+  std::vector<size_t> Order(Configs.size());
+  for (size_t I = 0; I != Order.size(); ++I)
+    Order[I] = I;
+  for (bool Reverse : {false, true}) {
+    if (Reverse)
+      std::reverse(Order.begin(), Order.end());
+    for (size_t I : Order) {
+      PipelineOptions Opts = Configs[I].Opts;
+      Opts.EmitTransformedSource = true;
+      std::string Where = Label + " under " + Configs[I].Name +
+                          (Reverse ? " (reverse)" : " (forward)");
+      EXPECT_EQ(fingerprint(warmRun(W, Opts)), Cold[I]) << Where;
+      expectMemoReplayEqualsFresh(W, Opts, Where);
+    }
+  }
+  EXPECT_GT(W.Session->substitutionMemo().hits(), 0u) << Label;
 }
 
 /// Runs every config cold (fresh parse + fresh session per run) and warm
@@ -155,6 +242,134 @@ TEST(AnalysisSession, ColdVsWarmFingerprintsOnRandomPrograms) {
     expectColdEqualsWarm(generateRandomProgram(Spec),
                          "random seed " + std::to_string(Seed));
   }
+}
+
+TEST(AnalysisSession, WarmEqualsColdBothOrdersOnExtendedSuite) {
+  for (const WorkloadProgram &P : extendedSuite())
+    expectWarmEqualsColdBothOrders(P.Source, P.Name);
+}
+
+TEST(AnalysisSession, WarmEqualsColdBothOrdersOnRandomPrograms) {
+  for (uint64_t Seed = 1; Seed <= 30; ++Seed) {
+    RandomSpec Spec;
+    Spec.Seed = Seed;
+    Spec.AllowRecursion = Seed % 3 == 0;
+    expectWarmEqualsColdBothOrders(generateRandomProgram(Spec),
+                                   "random seed " + std::to_string(Seed));
+  }
+}
+
+TEST(AnalysisSession, SubstitutionMemoKeysTheEffectiveAliasGating) {
+  // p's formals are bound to the same two variables by two call sites,
+  // so the flow-insensitive binding sets intersect and x, y are unstable
+  // (x is written). No single site passes one location twice, so the
+  // flow-sensitive facts of p are trivial and gate nothing. Under the
+  // same seeds and return jump functions (the flow-sensitive ones, which
+  // see x = y = 1 at both sites), the mask hides y's constant and the
+  // trivial flow facts do not: a hit across the two would be wrong.
+  const char *Source = R"(proc main()
+  integer a, b
+  a = 1
+  b = 1
+  call p(a, b)
+  call p(b, a)
+end
+proc p(x, y)
+  x = 1
+  print y
+end
+)";
+  WarmProgram W = warmUp(Source);
+  AnalysisSession &S = *W.Session;
+  ProcId P = *W.Ctx->program().findProc("p");
+  const Module &M = S.module();
+  const CallGraph &CG = S.callGraph();
+  const ModRefInfo *MRI = S.modRef(true);
+  const RefAliasInfo &Aliases = S.refAlias(true);
+  const FlowAliasInfo &Flow = S.flowAlias(true);
+  ASSERT_TRUE(Aliases.anyUnstable(P));
+  ASSERT_TRUE(Flow.proc(P).trivial());
+
+  ProgramJumpFunctions Jfs = buildJumpFunctions(S, optionsFromFlags("--fsa"));
+  SolveResult Solve = solveConstants(W.Symbols, CG, Jfs);
+  auto Count = [&](AnalysisSession *Session, const FlowAliasInfo *F) {
+    return countSubstitutions(M, W.Symbols, CG, &Solve, MRI, &Jfs, &Aliases,
+                              nullptr, Session, F);
+  };
+  SubstitutionResult Masked = Count(&S, nullptr);
+  uint64_t Hits = S.substitutionMemo().hits();
+  uint64_t Misses = S.substitutionMemo().misses();
+  SubstitutionResult Gated = Count(&S, &Flow);
+  // main keys identically (no aliased formals); p alone misses.
+  EXPECT_EQ(S.substitutionMemo().misses(), Misses + 1);
+  EXPECT_EQ(S.substitutionMemo().hits(), Hits + 1);
+  EXPECT_LT(Masked.PerProc[P], Gated.PerProc[P]);
+  EXPECT_EQ(substitutionFingerprint(Masked),
+            substitutionFingerprint(Count(nullptr, nullptr)));
+  EXPECT_EQ(substitutionFingerprint(Gated),
+            substitutionFingerprint(Count(nullptr, &Flow)));
+}
+
+TEST(AnalysisSession, CompletePropagationLeavesTheSharedProgramIntact) {
+  // Complete propagation's first round runs on the shared session; only
+  // a fold moves it onto a private clone. The shared AST must print the
+  // same before and after, and the two programs that fold keep their
+  // Table 3 results.
+  for (const WorkloadProgram &P : benchmarkSuite()) {
+    WarmProgram W = warmUp(P.Source);
+    AstPrinter Printer;
+    std::string Before = Printer.programToString(W.Ctx->program());
+    PipelineOptions Opts;
+    Opts.CompletePropagation = true;
+    PipelineResult R = runPipelineOnSession(*W.Session, Opts);
+    ASSERT_TRUE(R.Ok) << P.Name << ": " << R.Error;
+    EXPECT_EQ(Printer.programToString(W.Ctx->program()), Before) << P.Name;
+    if (P.Name == "ocean" || P.Name == "spec77") {
+      EXPECT_EQ(R.DceRounds, 1u) << P.Name;
+      EXPECT_EQ(R.SubstitutedConstants, P.Name == "ocean" ? 204u : 141u);
+    }
+    // The shared session is still usable, and still agrees with a cold
+    // run of the same configuration.
+    PipelineResult Again = runPipelineOnSession(*W.Session, Opts);
+    EXPECT_EQ(fingerprint(Again), fingerprint(R)) << P.Name;
+  }
+}
+
+TEST(AnalysisSession, EightThreadsShareOneSession) {
+  // Every configuration, complete propagation included, from 8 threads
+  // at once over one session (each thread starts at a different
+  // configuration), against cold runs. TSan runs this too.
+  const WorkloadProgram &Prog = *std::find_if(
+      benchmarkSuite().begin(), benchmarkSuite().end(),
+      [](const WorkloadProgram &P) { return P.Name == "ocean"; });
+  std::vector<SuiteConfig> Configs = allConfigs();
+  std::vector<std::string> Cold;
+  for (const SuiteConfig &C : Configs) {
+    PipelineOptions Opts = C.Opts;
+    Opts.EmitTransformedSource = true;
+    Cold.push_back(fingerprint(runPipeline(Prog.Source, Opts)));
+  }
+  WarmProgram W = warmUp(Prog.Source);
+  constexpr unsigned NumThreads = 8;
+  std::vector<std::vector<std::string>> Got(NumThreads);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      Got[T].resize(Configs.size());
+      for (size_t K = 0; K != Configs.size(); ++K) {
+        size_t I = (K + T) % Configs.size();
+        PipelineOptions Opts = Configs[I].Opts;
+        Opts.EmitTransformedSource = true;
+        Got[T][I] = fingerprint(runPipelineOnSession(*W.Session, Opts));
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  for (unsigned T = 0; T != NumThreads; ++T)
+    for (size_t I = 0; I != Configs.size(); ++I)
+      EXPECT_EQ(Got[T][I], Cold[I])
+          << "thread " << T << " under " << Configs[I].Name;
+  EXPECT_GT(W.Session->substitutionMemo().hits(), 0u);
 }
 
 TEST(AnalysisSession, DceDirtySetRelowersOnlyMutatedProcs) {
@@ -376,5 +591,8 @@ TEST(AnalysisSession, SharedSuitePlumbsTimingsAndCacheStats) {
   EXPECT_GT(R.Cache.JfBasesReused, 0u);
   EXPECT_GT(R.Cache.SsaReused, 0u);
   EXPECT_GT(R.Cache.VnReused, 0u);
-  EXPECT_EQ(R.Cache.ProcsRelowered, 0u); // Complete cells use clones.
+  // Complete cells fold only on private clones.
+  EXPECT_EQ(R.Cache.ProcsRelowered, 0u);
+  EXPECT_GT(R.Cache.SubstMemoHits, 0u);
+  EXPECT_GT(R.Cache.SubstMemoMisses, 0u);
 }

@@ -6,6 +6,7 @@
 
 #include "analysis/DeadCodeElim.h"
 
+#include "lang/AstClone.h"
 #include "lang/AstPrinter.h"
 
 #include "TestHelpers.h"
@@ -41,6 +42,57 @@ const Stmt *findStmt(const std::vector<Stmt *> &Stmts, StmtKind K) {
 std::string printed(AstContext &Ctx) {
   AstPrinter Printer;
   return Printer.programToString(Ctx.program());
+}
+
+/// Every expression and statement id of \p E / \p Stmts, in pre-order.
+void collectIds(const Expr *E, std::vector<uint32_t> &Out) {
+  Out.push_back(E->id());
+  if (const auto *A = dyn_cast<ArrayRefExpr>(E)) {
+    collectIds(A->index(), Out);
+  } else if (const auto *U = dyn_cast<UnaryExpr>(E)) {
+    collectIds(U->operand(), Out);
+  } else if (const auto *B = dyn_cast<BinaryExpr>(E)) {
+    collectIds(B->lhs(), Out);
+    collectIds(B->rhs(), Out);
+  }
+}
+
+void collectIds(const std::vector<Stmt *> &Stmts, std::vector<uint32_t> &Out) {
+  for (const Stmt *S : Stmts) {
+    Out.push_back(S->id());
+    if (const auto *A = dyn_cast<AssignStmt>(S)) {
+      collectIds(A->target(), Out);
+      collectIds(A->value(), Out);
+    } else if (const auto *C = dyn_cast<CallStmt>(S)) {
+      for (const Expr *Arg : C->args())
+        collectIds(Arg, Out);
+    } else if (const auto *I = dyn_cast<IfStmt>(S)) {
+      collectIds(I->cond(), Out);
+      collectIds(I->thenBody(), Out);
+      collectIds(I->elseBody(), Out);
+    } else if (const auto *W = dyn_cast<WhileStmt>(S)) {
+      collectIds(W->cond(), Out);
+      collectIds(W->body(), Out);
+    } else if (const auto *D = dyn_cast<DoLoopStmt>(S)) {
+      collectIds(D->var(), Out);
+      collectIds(D->lo(), Out);
+      collectIds(D->hi(), Out);
+      if (D->step())
+        collectIds(D->step(), Out);
+      collectIds(D->body(), Out);
+    } else if (const auto *P = dyn_cast<PrintStmt>(S)) {
+      collectIds(P->value(), Out);
+    } else if (const auto *R = dyn_cast<ReadStmt>(S)) {
+      collectIds(R->target(), Out);
+    }
+  }
+}
+
+std::vector<uint32_t> allIds(const AstContext &Ctx) {
+  std::vector<uint32_t> Out;
+  for (const auto &P : Ctx.program().Procs)
+    collectIds(P->Body, Out);
+  return Out;
 }
 
 } // namespace
@@ -310,4 +362,90 @@ end
   DeadCodeElim::Decisions D{{If->id(), true}, {W->id(), false}};
   DeadCodeElim::run(*Ctx, D);
   parseOk(printed(*Ctx)); // Must remain valid MiniFort.
+}
+
+TEST(DeadCodeElim, WouldFoldAgreesWithRun) {
+  // wouldFold is run's dry run: the same three folding rules, nothing
+  // rewritten.
+  const char *Source = R"(proc main()
+  integer i, x, z
+  x = 1
+  while (x > 0)
+    x = x - 1
+  end while
+  do i = 10, 2, 1 / z
+    print i
+  end do
+  if (x == 1) then
+    do i = 5, 1
+      print i
+    end do
+  end if
+end
+)";
+  auto Probe = parseOk(Source);
+  const auto &Body = Probe->program().Procs[0]->Body;
+  StmtId While = findStmt(Body, StmtKind::While)->id();
+  StmtId TrappingDo = findStmt(Body, StmtKind::DoLoop)->id();
+  StmtId If = findStmt(Body, StmtKind::If)->id();
+  StmtId InnerDo =
+      findStmt(cast<IfStmt>(findStmt(Body, StmtKind::If))->thenBody(),
+               StmtKind::DoLoop)
+          ->id();
+  std::vector<DeadCodeElim::Decisions> Cases = {
+      {},
+      {{While, true}},                    // Known-true loop: kept.
+      {{TrappingDo, false}},              // Trapping step: kept.
+      {{While, true}, {TrappingDo, false}},
+      {{While, false}},                   // Known-false loop: folds.
+      {{InnerDo, false}},                 // Nested zero-trip DO: folds.
+      {{If, false}, {While, true}},       // Any If decision folds.
+  };
+  for (size_t I = 0; I != Cases.size(); ++I) {
+    auto Ctx = parseOk(Source);
+    std::string Before = printed(*Ctx);
+    bool Would = DeadCodeElim::wouldFold(Ctx->program(), Cases[I]);
+    EXPECT_EQ(printed(*Ctx), Before) << "case " << I;
+    EXPECT_EQ(Would, DeadCodeElim::run(*Ctx, Cases[I]) != 0) << "case " << I;
+  }
+}
+
+TEST(DeadCodeElim, IdPreservingCloneFoldsLikeTheOriginal) {
+  // An in-place zero-trip fold gives its new assignment a fresh id in
+  // the middle of the tree, so ids no longer follow tree order. A clone
+  // must still keep every id, hand out the ids the original would next,
+  // and fold a later round's decisions exactly as the original does.
+  auto Ctx = parseOk(R"(proc main()
+  integer i, x
+  x = 0
+  do i = 5, 1
+    print i
+  end do
+  if (x == 0) then
+    print i + x
+  else
+    do i = 3, 1
+      print i
+    end do
+  end if
+end
+)");
+  const auto &Body = Ctx->program().Procs[0]->Body;
+  const Stmt *If = findStmt(Body, StmtKind::If);
+  DeadCodeElim::Decisions First{{findStmt(Body, StmtKind::DoLoop)->id(),
+                                 false}};
+  ASSERT_EQ(DeadCodeElim::run(*Ctx, First), 1u);
+
+  auto Clone = cloneProgramResolved(*Ctx);
+  EXPECT_EQ(allIds(*Clone), allIds(*Ctx));
+  EXPECT_EQ(Clone->numExprIds(), Ctx->numExprIds());
+  EXPECT_EQ(Clone->numStmtIds(), Ctx->numStmtIds());
+
+  const Stmt *ElseDo =
+      findStmt(cast<IfStmt>(If)->elseBody(), StmtKind::DoLoop);
+  DeadCodeElim::Decisions Second{{ElseDo->id(), false}, {If->id(), false}};
+  EXPECT_EQ(DeadCodeElim::run(*Clone, Second),
+            DeadCodeElim::run(*Ctx, Second));
+  EXPECT_EQ(printed(*Clone), printed(*Ctx));
+  EXPECT_EQ(allIds(*Clone), allIds(*Ctx));
 }

@@ -128,6 +128,25 @@ foreach(EXTRA "" "--jf=pass" "--ogvn" "--copy" "--gsa" "--complete" "--no-mod")
   endif()
 endforeach()
 
+# Nesting past the parser's limit is a diagnostic and exit code 1, not a
+# stack overflow — for analysis and for --run alike.
+set(DEEP_MF "${WORK_DIR}/deep.mf")
+string(REPEAT "(" 20000 OPEN)
+string(REPEAT ")" 20000 CLOSE)
+file(WRITE "${DEEP_MF}" "proc main()
+  integer x
+  x = ${OPEN}1${CLOSE}
+  print x
+end
+")
+foreach(MODE "--quiet" "--run")
+  execute_process(COMMAND ${DRIVER} ${MODE} "${DEEP_MF}"
+                  RESULT_VARIABLE RC OUTPUT_QUIET ERROR_VARIABLE ERR)
+  if(NOT RC EQUAL 1 OR NOT ERR MATCHES "nesting too deep")
+    set(FAILURES "${FAILURES}\ndeep_nesting${MODE}: rc=${RC}, stderr '${ERR}'")
+  endif()
+endforeach()
+
 # A good --constants-out write still succeeds.
 expect_run(constants_out zero ""
            "--constants-out=${WORK_DIR}/constants.txt" "${GOOD_MF}")

@@ -208,6 +208,77 @@ TEST(Parser, ErrorTopLevelJunk) {
   EXPECT_TRUE(Diags.hasErrors());
 }
 
+namespace {
+
+/// A main whose only statement assigns \p Expr.
+std::string assigning(const std::string &Expr) {
+  return "proc main()\n  integer x\n  x = " + Expr + "\nend\n";
+}
+
+/// \p N nested IFs around one print (elseif chains desugar to the same
+/// nesting).
+std::string nestedIfs(unsigned N) {
+  std::string Source = "proc main()\n  integer x\n  x = 1\n";
+  for (unsigned I = 0; I != N; ++I)
+    Source += "if (x > 0) then\n";
+  Source += "print x\n";
+  for (unsigned I = 0; I != N; ++I)
+    Source += "end if\n";
+  return Source + "end\n";
+}
+
+std::string elseifChain(unsigned N) {
+  std::string Source = "proc main()\n  integer x\n  x = 1\n"
+                       "  if (x == 0) then\n    print 0\n";
+  for (unsigned I = 1; I <= N; ++I)
+    Source += "  elseif (x == " + std::to_string(I) + ") then\n    print " +
+              std::to_string(I) + "\n";
+  return Source + "  end if\nend\n";
+}
+
+bool rejectedAsTooDeep(const std::string &Source) {
+  DiagnosticEngine Diags;
+  parseProgram(Source, Diags);
+  return Diags.hasErrors() &&
+         Diags.str().find("nesting too deep") != std::string::npos;
+}
+
+} // namespace
+
+TEST(Parser, NestingBeyondTheLimitIsADiagnostic) {
+  // Each shape nests one level per repetition; far past the limit the
+  // parse must stop with one diagnostic instead of overflowing a stack
+  // (here or in any later recursive pass).
+  const unsigned Deep = 20000;
+  EXPECT_TRUE(rejectedAsTooDeep(assigning(std::string(Deep, '(') + "1" +
+                                          std::string(Deep, ')'))));
+  std::string Sum = "1";
+  std::string Neg, Not;
+  for (unsigned I = 0; I != Deep; ++I) {
+    Sum += " + 1";
+    Neg += "- ";
+    Not += "not ";
+  }
+  EXPECT_TRUE(rejectedAsTooDeep(assigning(Sum)));
+  EXPECT_TRUE(rejectedAsTooDeep(assigning(Neg + "1")));
+  EXPECT_TRUE(rejectedAsTooDeep(assigning(Not + "1")));
+  EXPECT_TRUE(rejectedAsTooDeep(nestedIfs(Deep)));
+  EXPECT_TRUE(rejectedAsTooDeep(elseifChain(Deep)));
+
+  // Exactly one diagnostic, however deep.
+  DiagnosticEngine Diags;
+  parseProgram(nestedIfs(Deep), Diags);
+  EXPECT_EQ(Diags.diagnostics().size(), 1u) << Diags.str();
+}
+
+TEST(Parser, NestingWithinTheLimitParses) {
+  const unsigned Ok = MaxNestingDepth / 2;
+  parseOk(assigning(std::string(Ok, '(') + "1" + std::string(Ok, ')')));
+  parseOk(nestedIfs(Ok));
+  parseOk(elseifChain(Ok));
+  EXPECT_TRUE(rejectedAsTooDeep(nestedIfs(MaxNestingDepth + 1)));
+}
+
 TEST(Parser, RoundTripWholeProgram) {
   std::string Source = R"(program p
 global n = 3

@@ -618,6 +618,45 @@ TEST(ServeServer, HugeArrayRequestsLeaveServerAndCacheIntact) {
   EXPECT_TRUE(Again.find("result")->boolOr("cached", false));
 }
 
+TEST(ServeServer, DeeplyNestedSourceIsAnalysisError) {
+  // A ~40 KB line nesting 20,000 parentheses used to overflow the
+  // parser's stack and take every resident session down with it. It is
+  // now a frontend diagnostic, and the warm cache survives.
+  Server S({.Workers = 1, .CacheCapacity = 4});
+  ASSERT_TRUE(parsedOk(S.handle(analyzeRequest("warm", SampleProgram)))
+                  .boolOr("ok", false));
+
+  const std::string Deep = "proc main()\n  integer x\n  x = " +
+                           std::string(20000, '(') + "1" +
+                           std::string(20000, ')') + "\n  print x\nend\n";
+  JsonValue R = parsedOk(S.handle(analyzeRequest("deep", Deep)));
+  EXPECT_EQ(errorKind(R), "analysis-error");
+  EXPECT_NE(R.dump().find("nesting too deep"), std::string::npos)
+      << R.dump();
+
+  JsonValue Again = parsedOk(S.handle(analyzeRequest("again", SampleProgram)));
+  ASSERT_TRUE(Again.boolOr("ok", false));
+  EXPECT_TRUE(Again.find("result")->boolOr("cached", false));
+}
+
+TEST(ServeServer, StatsReportTheSubstitutionMemo) {
+  // Two configurations of one program share the warm session's
+  // substitution memo; stats reports it beside the solver memo.
+  Server S({.Workers = 1, .CacheCapacity = 4});
+  ASSERT_TRUE(parsedOk(S.handle(analyzeRequest("a", SampleProgram)))
+                  .boolOr("ok", false));
+  ASSERT_TRUE(
+      parsedOk(S.handle(analyzeRequest("b", SampleProgram,
+                                       ",\"config\":{\"jf\":\"pass\"}")))
+          .boolOr("ok", false));
+  JsonValue Stats = parsedOk(S.handle("{\"method\":\"stats\"}"));
+  const JsonValue *Memo = Stats.find("result")->find("substitution_memo");
+  ASSERT_NE(Memo, nullptr) << Stats.dump();
+  EXPECT_GT(Memo->intOr("misses", 0), 0);
+  EXPECT_GT(Memo->intOr("hits", 0), 0);
+  ASSERT_NE(Stats.find("result")->find("solver_memo"), nullptr);
+}
+
 //===----------------------------------------------------------------------===//
 // Transports
 //===----------------------------------------------------------------------===//

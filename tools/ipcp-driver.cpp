@@ -315,14 +315,16 @@ int main(int argc, char **argv) {
                   << " built/" << S.VnReused << " reused, jf bases "
                   << S.JfBasesBuilt << " built/" << S.JfBasesReused
                   << " reused\n";
-        uint64_t MemoTotal = S.SolverMemoHits + S.SolverMemoMisses;
-        std::cout << "solver memo: hit rate "
-                  << (MemoTotal
-                          ? 100.0 * double(S.SolverMemoHits) /
-                                double(MemoTotal)
-                          : 0.0)
-                  << "% (" << S.SolverMemoHits << " hits / "
-                  << S.SolverMemoMisses << " misses)\n";
+        auto PrintMemo = [](const char *Name, uint64_t Hits,
+                            uint64_t Misses) {
+          uint64_t Total = Hits + Misses;
+          std::cout << Name << " memo: hit rate "
+                    << (Total ? 100.0 * double(Hits) / double(Total) : 0.0)
+                    << "% (" << Hits << " hits / " << Misses
+                    << " misses)\n";
+        };
+        PrintMemo("solver", S.SolverMemoHits, S.SolverMemoMisses);
+        PrintMemo("substitution", S.SubstMemoHits, S.SubstMemoMisses);
       }
       std::cout << std::defaultfloat;
     }

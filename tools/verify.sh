@@ -49,9 +49,9 @@
 #             check-copy, check-serve, and check-vm suites plus the VM
 #             bench smoke
 #             under ThreadSanitizer, with explicit passes over the
-#             session-shared cache tests (the value-context memo and
-#             the per-key jump-function-base slots are shared state
-#             reachable from pool workers) and the
+#             session-shared cache tests (the value-context and
+#             substitution memos and the per-key jump-function-base
+#             slots are shared state reachable from pool workers) and the
 #             router tests (concurrent forwards, backend death, and the
 #             shutdown/traffic/kill race exercise the lock-free
 #             teardown) (opt-in: the TSan rebuild roughly doubles the
@@ -135,7 +135,7 @@ if [[ "$RUN_TSAN" == "1" ]]; then
   echo "==== [tsan] copy-lattice wall (check-copy) ===="
   ctest --test-dir build-tsan -L check-copy --output-on-failure -j "$JOBS"
 
-  echo "==== [tsan] session-shared caches: JF-base slots, solver memo ===="
+  echo "==== [tsan] session-shared caches: JF-base slots, solver and substitution memos ===="
   ctest --test-dir build-tsan -R 'AnalysisSession\.' --no-tests=error \
         --output-on-failure -j "$JOBS"
 
