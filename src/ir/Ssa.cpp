@@ -295,11 +295,18 @@ private:
                  {SsaUse::PhiUse, B, PI, S});
       const auto &Infos = Ssa.InstrInfo[B];
       for (uint32_t I = 0, IE = static_cast<uint32_t>(Infos.size()); I != IE;
-           ++I)
-        for (uint32_t S = 0,
-                      SE = static_cast<uint32_t>(Infos[I].UseSsa.size());
-             S != SE; ++S)
-          addUse(Infos[I].UseSsa[S], {SsaUse::InstrUse, B, I, S});
+           ++I) {
+        const InstrSsaInfo &Info = Infos[I];
+        const uint32_t NumOps = static_cast<uint32_t>(Info.UseSsa.size());
+        for (uint32_t S = 0; S != NumOps; ++S)
+          addUse(Info.UseSsa[S], {SsaUse::InstrUse, B, I, S});
+        // A call reads every global flowing into it (its return jump
+        // functions are evaluated over them), so each GlobalEnv value is
+        // a use too, in the slots past the operands.
+        for (uint32_t G = 0, GE = static_cast<uint32_t>(Info.GlobalEnv.size());
+             G != GE; ++G)
+          addUse(Info.GlobalEnv[G], {SsaUse::InstrUse, B, I, NumOps + G});
+      }
     }
   }
 

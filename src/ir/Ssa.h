@@ -104,7 +104,9 @@ struct SsaUse {
   UseKind Kind;
   BlockId Block;
   uint32_t Index; ///< Instruction index or phi index.
-  uint32_t Slot;  ///< Operand slot or phi incoming index.
+  /// Operand slot or phi incoming index. A call's GlobalEnv value i
+  /// uses slot UseSsa.size() + i.
+  uint32_t Slot;
 };
 
 /// The SSA overlay for one function.

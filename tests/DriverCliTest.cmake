@@ -128,6 +128,36 @@ foreach(EXTRA "" "--jf=pass" "--ogvn" "--copy" "--gsa" "--complete" "--no-mod")
   endif()
 endforeach()
 
+# Without MOD a call kills every global, and SCCP recovers g0 after the
+# call from w0's return jump function over the globals flowing in. That
+# recovery must see g0's phi fall to bottom on the branch that stores
+# ga(7), so g0 = 89 is never substituted after the call (the reference
+# prints 0).
+set(NOMOD_MF "${WORK_DIR}/nomod-call-global-env.mf")
+file(WRITE "${NOMOD_MF}" "global g0 = 89
+array ga(16)
+
+proc main()
+  integer a
+  read a
+  if (a > 0) then
+    g0 = ga(7)
+  end if
+  call w0()
+  print g0
+end
+
+proc w0()
+end
+")
+foreach(JF literal intra pass poly)
+  expect_run(nomod_call_global_env_${JF} zero "" "--validate" "--no-mod"
+             "--jf=${JF}" "${NOMOD_MF}")
+  if(NOT LAST_STDOUT MATCHES "validation passed")
+    set(FAILURES "${FAILURES}\nnomod_call_global_env_${JF}: '${LAST_STDOUT}'")
+  endif()
+endforeach()
+
 # Nesting past the parser's limit is a diagnostic and exit code 1, not a
 # stack overflow — for analysis and for --run alike.
 set(DEEP_MF "${WORK_DIR}/deep.mf")
