@@ -300,9 +300,12 @@ private:
         const uint32_t NumOps = static_cast<uint32_t>(Info.UseSsa.size());
         for (uint32_t S = 0; S != NumOps; ++S)
           addUse(Info.UseSsa[S], {SsaUse::InstrUse, B, I, S});
-        // A call reads every global flowing into it (its return jump
-        // functions are evaluated over them), so each GlobalEnv value is
-        // a use too, in the slots past the operands.
+        // A call that kills something reads every global flowing into it
+        // (the killed values are recovered from return jump functions
+        // over them), so each GlobalEnv value is a use too, in the slots
+        // past the operands.
+        if (Info.Kills.empty())
+          continue;
         for (uint32_t G = 0, GE = static_cast<uint32_t>(Info.GlobalEnv.size());
              G != GE; ++G)
           addUse(Info.GlobalEnv[G], {SsaUse::InstrUse, B, I, NumOps + G});
