@@ -6,10 +6,9 @@
 ///
 /// \file
 /// A blocking TCP client for the serve protocol, used by the driver's
-/// --server-url mode, the throughput bench's load generators, and the
-/// round-trip tests. One call() is one request line out and one reply
-/// line back; a ServeClient is single-threaded (open one per client
-/// thread).
+/// --server-url mode and the TCP transport tests. One call() is one
+/// request line out and one reply line back; a ServeClient is
+/// single-threaded (open one per client thread).
 ///
 //===----------------------------------------------------------------------===//
 

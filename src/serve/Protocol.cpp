@@ -254,11 +254,7 @@ uint64_t ipcp::requestContentKey(const ServeRequest &Req) {
   K += std::to_string(Req.MaxSteps);
   K += " exec=";
   K += execEngineName(Req.Exec);
-  // The server hashes the resolved source (a suite name has already been
-  // replaced by its text); the router sees the unresolved request and
-  // hashes the suite name instead — either way the key is a pure
-  // function of the request's content.
-  return contentHash(Req.Source.empty() ? Req.SuiteProgram : Req.Source, K);
+  return contentHash(Req.Source, K);
 }
 
 std::string ipcp::makeOkReply(const std::string &Id, JsonValue Result) {

@@ -112,13 +112,11 @@ std::string configKey(const PipelineOptions &Opts, const ReportOptions &R);
 uint64_t contentHash(const std::string &Source, const std::string &CfgKey);
 
 /// The whole request's content key: contentHash over everything that
-/// determines the reply (method class, source or suite-program name,
-/// config, report flags, seeds, engine). The server coalesces identical
-/// in-flight requests on it; the router rendezvous-hashes it across
-/// backends so repeats of the same content land where the caches are
-/// already warm. analyze-source and analyze-suite-program of the same
-/// resolved source text share keys (the server hashes after resolving
-/// the suite name to its source).
+/// determines the reply (method class, source text, config, report
+/// flags, seeds, engine). The server coalesces identical in-flight
+/// requests on it. It hashes Req.Source, so a suite-program request
+/// must be resolved to its source text first; analyze-source and
+/// analyze-suite-program of the same source then share keys.
 uint64_t requestContentKey(const ServeRequest &Req);
 
 /// Reply builders (each returns one serialized line, no trailing '\n').

@@ -36,7 +36,6 @@
 #ifndef IPCP_SERVE_SERVER_H
 #define IPCP_SERVE_SERVER_H
 
-#include "serve/Handler.h"
 #include "serve/Protocol.h"
 #include "serve/SessionCache.h"
 #include "support/Cancellation.h"
@@ -67,28 +66,29 @@ struct ServerOptions {
   double DefaultDeadlineMs = 0;
 };
 
-class Server : public RequestHandler {
+class Server {
 public:
   explicit Server(ServerOptions Opts = {});
-  ~Server() override;
+  ~Server();
 
   /// Parses and executes one request line asynchronously. \p Done is
   /// invoked exactly once — possibly on the calling thread (control
   /// traffic, rejections), possibly on a worker — with the serialized
   /// reply line (no trailing newline). \p Done must be thread-safe
   /// against other replies and must not block.
-  void submit(std::string Line, std::function<void(std::string)> Done) override;
+  void submit(std::string Line, std::function<void(std::string)> Done);
 
-  /// Synchronous submit: blocks until the reply is ready. Convenience
-  /// for tests and the in-process client.
-  std::string handle(const std::string &Line) override;
+  /// Synchronous submit: blocks until the reply is ready. The TCP
+  /// transport answers each connection's lines with it.
+  std::string handle(const std::string &Line);
 
   /// Begins draining (idempotent) and blocks until every admitted
   /// request has been answered. New compute requests are rejected with
   /// `shutting-down` from the moment drain begins.
-  void shutdown() override;
+  void shutdown();
 
-  bool draining() const override {
+  /// True once a shutdown has begun draining; transports stop reading.
+  bool draining() const {
     return Draining.load(std::memory_order_acquire);
   }
 

@@ -6,7 +6,7 @@
 
 #include "serve/Transport.h"
 
-#include "serve/Handler.h"
+#include "serve/Server.h"
 
 #include <condition_variable>
 #include <istream>
@@ -21,8 +21,7 @@
 
 using namespace ipcp;
 
-void ipcp::serveStream(RequestHandler &S, std::istream &In,
-                       std::ostream &Out) {
+void ipcp::serveStream(Server &S, std::istream &In, std::ostream &Out) {
   std::mutex WriteMutex; // Replies land from worker threads; serialize.
   std::mutex DoneMutex;
   std::condition_variable DoneCv;
@@ -75,19 +74,18 @@ void sendAll(int Fd, const std::string &Data) {
 }
 
 /// Serves one connection synchronously: read a line, answer it, repeat
-/// until the client hangs up. Within a connection requests serialize;
-/// across connections the handler interleaves them.
-void serveConnection(int Fd, RequestHandler &S) {
+/// until the client hangs up or the listener shuts the read side down.
+/// Within a connection requests serialize; across connections the
+/// server interleaves them. The listener owns and closes \p Fd.
+void serveConnection(int Fd, Server &S) {
   std::string Buffer;
   char Chunk[4096];
   for (;;) {
     size_t Nl;
     while ((Nl = Buffer.find('\n')) == std::string::npos) {
       ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
-      if (N <= 0) {
-        ::close(Fd);
+      if (N <= 0)
         return;
-      }
       Buffer.append(Chunk, static_cast<size_t>(N));
     }
     std::string Line = Buffer.substr(0, Nl);
@@ -106,9 +104,7 @@ TcpListener::~TcpListener() {
   stop();
   if (Fd >= 0)
     ::close(Fd);
-  for (std::thread &T : Conns)
-    if (T.joinable())
-      T.join();
+  closeConnections();
 }
 
 bool TcpListener::listen(uint16_t Port, std::string &Error) {
@@ -145,8 +141,35 @@ bool TcpListener::listen(uint16_t Port, std::string &Error) {
   return true;
 }
 
-void TcpListener::run(RequestHandler &S) {
+void TcpListener::reapFinished() {
+  for (auto It = Conns.begin(); It != Conns.end();) {
+    if (!It->Done.load(std::memory_order_acquire)) {
+      ++It;
+      continue;
+    }
+    It->Thread.join();
+    ::close(It->Fd);
+    It = Conns.erase(It);
+  }
+}
+
+void TcpListener::closeConnections() {
+  // Shutting the read side wakes a thread blocked in recv() (it sees
+  // end of stream); a thread inside Server::handle() still writes its
+  // reply, then finds the stream ended.
+  for (Connection &C : Conns)
+    ::shutdown(C.Fd, SHUT_RD);
+  for (Connection &C : Conns) {
+    if (C.Thread.joinable())
+      C.Thread.join();
+    ::close(C.Fd);
+  }
+  Conns.clear();
+}
+
+void TcpListener::run(Server &S) {
   while (!Stopping.load(std::memory_order_acquire) && !S.draining()) {
+    reapFinished();
     pollfd Pfd = {Fd, POLLIN, 0};
     int N = ::poll(&Pfd, 1, /*timeout_ms=*/200);
     if (N < 0)
@@ -156,10 +179,12 @@ void TcpListener::run(RequestHandler &S) {
     int Client = ::accept(Fd, nullptr, nullptr);
     if (Client < 0)
       continue;
-    Conns.emplace_back([Client, &S] { serveConnection(Client, S); });
+    Connection &C = Conns.emplace_back();
+    C.Fd = Client;
+    C.Thread = std::thread([&C, &S] {
+      serveConnection(C.Fd, S);
+      C.Done.store(true, std::memory_order_release);
+    });
   }
-  for (std::thread &T : Conns)
-    if (T.joinable())
-      T.join();
-  Conns.clear();
+  closeConnections();
 }

@@ -17,15 +17,14 @@
 /// request begins draining, after every submitted request has been
 /// answered.
 ///
-/// Both transports speak to a RequestHandler (serve/Handler.h), not to
-/// Server directly, so the same pumps front a computing Server or a
-/// forwarding Router.
-///
 /// TcpListener accepts loopback connections and serves each on its own
 /// thread, one request at a time per connection (concurrency comes from
-/// opening more connections, which is what the bench's closed-loop
-/// clients do). The listener binds 127.0.0.1 only — this is a local
-/// analysis daemon, not a network service.
+/// opening more connections). Threads of connections whose client hung
+/// up are joined while the listener runs. When it stops, it shuts the
+/// read side of every open connection: an idle client cannot hold the
+/// server open, and a request already being answered still gets its
+/// reply. The listener binds 127.0.0.1 only — this is a local analysis
+/// daemon, not a network service.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,19 +34,19 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace ipcp {
 
-class RequestHandler;
+class Server;
 
 /// Pumps request lines from \p In into \p S and reply lines to \p Out
 /// (one per line, flushed). Returns at EOF or when a shutdown request
 /// begins draining; every reply for a submitted request has been
 /// written by the time it returns. Blank lines are ignored.
-void serveStream(RequestHandler &S, std::istream &In, std::ostream &Out);
+void serveStream(Server &S, std::istream &In, std::ostream &Out);
 
 /// A loopback TCP acceptor serving one connection per thread.
 class TcpListener {
@@ -68,8 +67,10 @@ public:
   uint16_t port() const { return BoundPort; }
 
   /// Accept loop. Returns once stop() is called or \p S starts
-  /// draining; all connection threads are joined before it returns.
-  void run(RequestHandler &S);
+  /// draining. Before it returns it shuts the read side of every open
+  /// connection, waits for replies already being computed to be
+  /// written, and joins all connection threads.
+  void run(Server &S);
 
   /// Signals run() to return. Safe from any thread.
   void stop() { Stopping.store(true, std::memory_order_release); }
@@ -78,7 +79,20 @@ private:
   int Fd = -1;
   uint16_t BoundPort = 0;
   std::atomic<bool> Stopping{false};
-  std::vector<std::thread> Conns;
+
+  /// One accepted connection. The listener closes Fd after joining
+  /// Thread, so the descriptor is never reused under a live thread.
+  struct Connection {
+    int Fd = -1;
+    std::atomic<bool> Done{false}; ///< Set as Thread finishes.
+    std::thread Thread;
+  };
+  std::list<Connection> Conns; ///< Touched only by run() and the destructor.
+
+  /// Joins and closes the connections whose client hung up.
+  void reapFinished();
+  /// Shuts the read side of every connection, then joins and closes it.
+  void closeConnections();
 };
 
 } // namespace ipcp

@@ -18,32 +18,18 @@
 ///     --cache-capacity=<n> resident programs in the session LRU (default 16)
 ///     --deadline-ms=<d>   default per-request deadline (0 = none)
 ///
-/// Router (front-tier) mode — the same binary, no analysis of its own,
-/// forwarding each request to a fleet of backend ipcp-serve processes by
-/// rendezvous hash of the request's content key:
-///
-///     --router              run as a front tier instead of a backend
-///     --backend=<url>       an existing backend (host:port; repeatable)
-///     --spawn-backends=<n>  fork <n> backends on ephemeral ports
-///     --forward-threads=<n> concurrent in-flight forwards (default 4)
-///
-/// In router mode --workers/--cache-capacity configure the *spawned
-/// backends* and --queue-limit bounds the router's in-flight forwards.
-///
 /// The process exits after stdin closes or a shutdown request drains
 /// (whichever transport it arrives on). It never exits on malformed
 /// input — bad requests get structured error replies.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "serve/Router.h"
 #include "serve/Server.h"
 #include "serve/Transport.h"
 
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 
@@ -53,10 +39,7 @@ static void printUsage() {
   std::cerr << "usage: ipcp-serve [--tcp=<port>] [--port-file=<path>] "
                "[--no-stdio]\n"
                "                  [--workers=<n>] [--queue-limit=<n>]\n"
-               "                  [--cache-capacity=<n>] [--deadline-ms=<d>]\n"
-               "                  [--router [--backend=<host:port>]...\n"
-               "                   [--spawn-backends=<n>] "
-               "[--forward-threads=<n>]]\n";
+               "                  [--cache-capacity=<n>] [--deadline-ms=<d>]\n";
 }
 
 static bool parseUnsigned(const std::string &Value, const char *Flag,
@@ -73,8 +56,6 @@ static bool parseUnsigned(const std::string &Value, const char *Flag,
 
 int main(int argc, char **argv) {
   ServerOptions Opts;
-  RouterOptions ROpts;
-  bool RouterMode = false;
   long TcpPort = -1; // -1 = no TCP listener.
   std::string PortFile;
   bool Stdio = true;
@@ -92,38 +73,18 @@ int main(int argc, char **argv) {
       PortFile = Arg.substr(12);
     } else if (Arg == "--no-stdio") {
       Stdio = false;
-    } else if (Arg == "--router") {
-      RouterMode = true;
-    } else if (Arg.rfind("--backend=", 0) == 0) {
-      if (Arg.size() == 10) {
-        std::cerr << "error: --backend expects a host:port\n";
-        return 1;
-      }
-      ROpts.Backends.push_back(Arg.substr(10));
-    } else if (Arg.rfind("--spawn-backends=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(17), "--spawn-backends", N) || N > 64)
-        return 1;
-      ROpts.SpawnBackends = static_cast<unsigned>(N);
-    } else if (Arg.rfind("--forward-threads=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(18), "--forward-threads", N) || N == 0 ||
-          N > 256)
-        return 1;
-      ROpts.ForwardThreads = static_cast<unsigned>(N);
     } else if (Arg.rfind("--workers=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(10), "--workers", N) || N > 1024)
         return 1;
       Opts.Workers = static_cast<unsigned>(N);
-      ROpts.BackendWorkers = static_cast<unsigned>(N);
     } else if (Arg.rfind("--queue-limit=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(14), "--queue-limit", N) || N == 0)
         return 1;
       Opts.QueueLimit = N;
-      ROpts.QueueLimit = N;
     } else if (Arg.rfind("--cache-capacity=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(17), "--cache-capacity", N) || N == 0)
         return 1;
       Opts.CacheCapacity = N;
-      ROpts.BackendCacheCapacity = N;
     } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(14), "--deadline-ms", N))
         return 1;
@@ -142,33 +103,8 @@ int main(int argc, char **argv) {
     std::cerr << "error: --no-stdio requires --tcp=<port>\n";
     return 1;
   }
-  if (!RouterMode &&
-      (!ROpts.Backends.empty() || ROpts.SpawnBackends > 0)) {
-    std::cerr << "error: --backend/--spawn-backends require --router\n";
-    return 1;
-  }
-  if (RouterMode && ROpts.Backends.empty() && ROpts.SpawnBackends == 0) {
-    std::cerr << "error: --router needs --backend=<host:port> or "
-                 "--spawn-backends=<n>\n";
-    return 1;
-  }
+  Server Srv(Opts);
 
-  std::unique_ptr<Server> Srv;
-  std::unique_ptr<Router> Rtr;
-  RequestHandler *Handler = nullptr;
-  if (RouterMode) {
-    Rtr = std::make_unique<Router>(ROpts);
-    std::string Error;
-    if (!Rtr->start(Error)) {
-      std::cerr << "error: " << Error << '\n';
-      return 1;
-    }
-    std::cerr << "! routing across " << Rtr->numBackends() << " backends\n";
-    Handler = Rtr.get();
-  } else {
-    Srv = std::make_unique<Server>(Opts);
-    Handler = Srv.get();
-  }
 
   TcpListener Listener;
   std::thread TcpThread;
@@ -187,11 +123,11 @@ int main(int argc, char **argv) {
         return 1;
       }
     }
-    TcpThread = std::thread([&] { Listener.run(*Handler); });
+    TcpThread = std::thread([&] { Listener.run(Srv); });
   }
 
   if (Stdio) {
-    serveStream(*Handler, std::cin, std::cout);
+    serveStream(Srv, std::cin, std::cout);
   } else {
     // TCP-only: run() returns once a shutdown request starts draining.
     TcpThread.join();
@@ -200,6 +136,6 @@ int main(int argc, char **argv) {
   Listener.stop();
   if (TcpThread.joinable())
     TcpThread.join();
-  Handler->shutdown();
+  Srv.shutdown();
   return 0;
 }

@@ -23,19 +23,15 @@
 #     of the classic analysis in the copy tier over the extended suite
 #     and a 200-seed relay sweep, oracle-validated recoveries, strict
 #     per-family gains, toggle-off identity),
-#   * the serve router wall (`ctest -L check-dist`: forwarding
-#     identity, backend-death rehash, all-down overload, shutdown
-#     races), and
 #   * the bench smokes (`ctest -L check-bench`: cold-vs-warm suite,
-#     server throughput, the serve router, and the
-#     VM-vs-interpreter >=10x gate — the gate is relaxed under
-#     sanitizer presets, which tax the two engines unevenly).
+#     server throughput, and the VM-vs-interpreter >=10x gate — the
+#     gate is relaxed under sanitizer presets, which tax the two engines
+#     unevenly).
 #
 # Under the default preset only, also runs the full (non-smoke) memo and
 # cold-path bench gates: the suite bench's >=0.3 solver-memo hit-rate and
-# >=2x warm-speedup gates, the serve bench's >=2x hot-vs-cold and
-# byte-identity gates, and the router bench's reply identity +
-# hardware-conditional speedup gates. Sanitizer presets skip these —
+# >=2x warm-speedup gates and the serve bench's >=2x hot-vs-cold and
+# byte-identity gates. Sanitizer presets skip these —
 # wall-clock gates are meaningless under instrumentation.
 #
 # When gcov is available, finishes with a small instrumented (cov
@@ -52,10 +48,9 @@
 #             session-shared cache tests (the value-context and
 #             substitution memos and the per-key jump-function-base
 #             slots are shared state reachable from pool workers) and the
-#             router tests (concurrent forwards, backend death, and the
-#             shutdown/traffic/kill race exercise the lock-free
-#             teardown) (opt-in: the TSan rebuild roughly doubles the
-#             sweep)
+#             TCP listener's drain and reaping tests (connection threads
+#             joined while serving, readers woken on shutdown) (opt-in:
+#             the TSan rebuild roughly doubles the sweep)
 #
 #===----------------------------------------------------------------------===//
 
@@ -87,7 +82,7 @@ for preset in "${PRESETS[@]}"; do
 
   echo "==== [$preset] tier-1 tests ===="
   ctest --test-dir "$builddir" \
-        -LE "check-oracle|check-bench|check-fuzz|check-serve|check-vm|check-dist|check-precision|check-copy" \
+        -LE "check-oracle|check-bench|check-fuzz|check-serve|check-vm|check-precision|check-copy" \
         --output-on-failure -j "$JOBS"
 
   echo "==== [$preset] oracle fuzz (check-oracle) ===="
@@ -102,9 +97,6 @@ for preset in "${PRESETS[@]}"; do
   echo "==== [$preset] engine differential (check-vm) ===="
   ctest --test-dir "$builddir" -L check-vm --output-on-failure -j "$JOBS"
 
-  echo "==== [$preset] serve router (check-dist) ===="
-  ctest --test-dir "$builddir" -L check-dist --output-on-failure -j "$JOBS"
-
   echo "==== [$preset] precision wall (check-precision) ===="
   ctest --test-dir "$builddir" -L check-precision --output-on-failure -j "$JOBS"
 
@@ -118,7 +110,6 @@ for preset in "${PRESETS[@]}"; do
     echo "==== [default] full memo/cold-path bench gates ===="
     ./build/bench/incremental_speedup --json=build/BENCH_suite.json
     ./build/bench/serve_throughput --json=build/BENCH_serve.json
-    ./build/bench/dist_speedup --json=build/BENCH_dist.json
   fi
 done
 
@@ -129,7 +120,7 @@ if [[ "$RUN_TSAN" == "1" ]]; then
 
   echo "==== [tsan] tier-1 tests ===="
   ctest --test-dir build-tsan \
-        -LE "check-oracle|check-bench|check-fuzz|check-serve|check-vm|check-dist|check-precision|check-copy" \
+        -LE "check-oracle|check-bench|check-fuzz|check-serve|check-vm|check-precision|check-copy" \
         --output-on-failure -j "$JOBS"
 
   echo "==== [tsan] copy-lattice wall (check-copy) ===="
@@ -145,9 +136,10 @@ if [[ "$RUN_TSAN" == "1" ]]; then
   echo "==== [tsan] engine differential (check-vm) ===="
   ctest --test-dir build-tsan -L check-vm --output-on-failure -j "$JOBS"
 
-  echo "==== [tsan] router: death, rehash, shutdown races ===="
-  ctest --test-dir build-tsan -R '^Router(Fleet)?\.' --no-tests=error \
-        --output-on-failure -j "$JOBS"
+  echo "==== [tsan] TCP listener: drain with idle connections, thread reaping ===="
+  ctest --test-dir build-tsan \
+        -R '^ServeTransport\.(IdleConnectionDoesNotBlockDrain|FinishedConnectionsAreReaped)$' \
+        --no-tests=error --output-on-failure -j "$JOBS"
 
   echo "==== [tsan] vm throughput smoke (relaxed gate) ===="
   ctest --test-dir build-tsan -R vm_throughput_smoke --output-on-failure
