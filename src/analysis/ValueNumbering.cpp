@@ -777,9 +777,15 @@ void ValueNumbering::numberOptimistic(const KillValueFn *KillFn,
             Changed |= setExpr(Info.DefSsa, Ctx.getUnary(In.UnOp, Ops[0]));
           break;
         case Opcode::Binary:
-          if (OpsReady)
-            Changed |=
-                setExpr(Info.DefSsa, Ctx.getBinary(In.BinOp, Ops[0], Ops[1]));
+          if (OpsReady) {
+            const VnExpr *E = Ctx.getBinary(In.BinOp, Ops[0], Ops[1]);
+            // A constant division by zero numbers to a fresh Opaque on
+            // every pass; use the def's stable one so a re-evaluation
+            // agrees instead of pinning the def (and its users) Opaque.
+            if (E->isOpaque() && E != Ops[0] && E != Ops[1])
+              E = opaqueFor(Info.DefSsa);
+            Changed |= setExpr(Info.DefSsa, E);
+          }
           break;
         case Opcode::Load:
           if (const CopyValue *CF = Copy ? Copy->factAt(B, I) : nullptr) {

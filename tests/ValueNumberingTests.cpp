@@ -143,7 +143,8 @@ struct VnBundle {
 };
 
 VnBundle buildVn(const std::string &Source, const std::string &Proc,
-                 const KillValueFn *KillFn = nullptr) {
+                 const KillValueFn *KillFn = nullptr,
+                 bool Optimistic = false) {
   VnBundle B;
   B.A = analyze(Source);
   const Function &F = B.A.function(Proc);
@@ -151,8 +152,10 @@ VnBundle buildVn(const std::string &Source, const std::string &Proc,
   B.Ssa = std::make_unique<SsaForm>(
       F, B.A.Symbols, *B.DT, makeKillOracle(B.A.Symbols, B.A.MRI.get()));
   B.Ctx = std::make_unique<VnContext>();
+  VnPrecision Prec;
+  Prec.Optimistic = Optimistic;
   B.VN = std::make_unique<ValueNumbering>(*B.Ssa, B.A.Symbols, *B.Ctx,
-                                          KillFn);
+                                          KillFn, nullptr, Prec);
   return B;
 }
 
@@ -365,6 +368,30 @@ end
   VnContext Ctx;
   ValueNumbering VN(Ssa, A.Symbols, Ctx, &KillFn);
   EXPECT_TRUE(Checked);
+}
+
+// Reduced from fuzz seed 13772387070707809766: `2 % 0` numbers to an
+// Opaque, and optimistic numbering used to take a fresh one on every
+// pass, so the disagreement pinned v1 Opaque and `v1 - v1` stopped
+// folding to 0. Both numberings must find g0 = 0 at exit.
+TEST(ValueNumbering, OptimisticFoldsAfterConstantDivisionByZero) {
+  const char *Source = R"(global g0 = 30
+proc main()
+  integer v1, v2
+  v2 = 14
+  v1 = g0 + 2 % (3 / v2)
+  g0 = (v1 - v1) % g0
+  call w2()
+end
+proc w2()
+end
+)";
+  for (bool Optimistic : {false, true}) {
+    VnBundle B = buildVn(Source, "main", nullptr, Optimistic);
+    const VnExpr *E = exitExpr(B, B.A.symbol("g0"));
+    ASSERT_TRUE(E->isConst()) << "optimistic=" << Optimistic;
+    EXPECT_EQ(E->ConstValue, 0);
+  }
 }
 
 TEST(ValueNumbering, StringRendering) {
