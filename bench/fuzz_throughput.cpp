@@ -9,7 +9,7 @@
 /// campaign budget in check-fuzz (and any longer local run) is bounded
 /// by three stages; this bench times each in isolation and end to end:
 ///   * mutateProgram — parse, AST edit, print, re-validate;
-///   * evaluateProgram — six analyzer configs plus cross-config checks,
+///   * evaluateProgram — ten analyzer configs plus cross-config checks,
 ///     with and without the transform checks and the oracle's cost
 ///     visible separately via the feature map left behind;
 ///   * runFuzzer — whole bounded campaigns, the number check-fuzz cares

@@ -6,11 +6,14 @@
 
 #include "exec/Oracle.h"
 
+#include "ipcp/AnalysisSession.h"
 #include "ipcp/Cloning.h"
-#include "ipcp/Inliner.h"
 #include "lang/Parser.h"
 
 #include <algorithm>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -113,35 +116,15 @@ bool tracesAgree(const RunResult &Ref, const RunResult &Got,
   return true;
 }
 
-} // namespace
+/// CONSTANTS(p) claims as (symbol, value) pairs, indexed by ProcId.
+using EntryClaimList = std::vector<std::vector<std::pair<SymbolId, int64_t>>>;
 
-OracleResult ipcp::validateTranslation(std::string_view Source,
-                                       const OracleOptions &Opts) {
-  OracleResult R;
-  FailureLog Failures;
-
-  // Step 0: the reference program and the copy the analyzer may mutate.
-  CheckedProgram Ref = parseChecked(Source);
-  if (!Ref.ok()) {
-    R.Error = "source does not parse: " + Ref.Error;
-    return R;
-  }
-  CheckedProgram Analyzed = parseChecked(Source);
-
-  PipelineOptions POpts = Opts.Pipeline;
-  POpts.EmitTransformedSource = true;
-  PipelineResult P =
-      runPipelineOnAst(*Analyzed.Ctx, Analyzed.Symbols, POpts);
-  if (!P.Ok) {
-    R.Error = "pipeline failed: " + P.Error;
-    return R;
-  }
-
-  // Resolve the CONSTANTS(p) claims back to symbol ids of the analyzed
-  // program (names are unambiguous: formals may not shadow globals).
-  const Program &AnProg = Analyzed.Ctx->program();
-  std::vector<std::vector<std::pair<SymbolId, int64_t>>> EntryClaims(
-      AnProg.Procs.size());
+/// Resolves the CONSTANTS(p) claims of \p P back to symbol ids of the
+/// analyzed program (names are unambiguous: formals may not shadow
+/// globals).
+EntryClaimList resolveEntryClaims(const PipelineResult &P,
+                                  const CheckedProgram &Analyzed) {
+  EntryClaimList Claims(Analyzed.Ctx->program().Procs.size());
   for (size_t Pid = 0; Pid != P.Constants.size(); ++Pid) {
     for (const auto &[Name, Value] : P.Constants[Pid]) {
       SymbolId Found = InvalidSymbol;
@@ -153,55 +136,263 @@ OracleResult ipcp::validateTranslation(std::string_view Source,
           if (Analyzed.Symbols.symbol(Sym).Name == Name)
             Found = Sym;
       if (Found != InvalidSymbol)
-        EntryClaims[Pid].push_back({Found, Value});
+        Claims[Pid].push_back({Found, Value});
+    }
+  }
+  return Claims;
+}
+
+/// What one hooked run of the analyzed program observed: its trace and
+/// the checks of every claim it reached.
+struct ClaimReplay {
+  RunResult Run;
+  unsigned SubstitutedUseChecks = 0;
+  unsigned EntryConstantChecks = 0;
+  unsigned ConstantMismatches = 0;
+  /// Contradicted claims in order. Past the fourth they are only
+  /// counted: a FailureLog shows no more.
+  std::vector<std::string> Failures;
+  unsigned NumFailures = 0;
+
+  void fail(std::string What) {
+    if (NumFailures++ < 4)
+      Failures.push_back(std::move(What));
+  }
+};
+
+/// Runs \p Prog through \p Runner with hooks asserting that every
+/// substituted use carries exactly its claimed constant and that every
+/// CONSTANTS(p) entry holds on every observed entry to p.
+ClaimReplay
+replayClaims(const ProgramRunner &Runner, const RunOptions &RO,
+             const Program &Prog, const SymbolTable &Symbols,
+             const SubstitutionMap &Substitutions,
+             const EntryClaimList &EntryClaims) {
+  ClaimReplay Rep;
+  std::string SeedText = " (seed " + std::to_string(RO.ReadSeed) + ")";
+  ExecHooks Hooks;
+  Hooks.OnVarUse = [&](ExprId Id, int64_t Value) {
+    auto It = Substitutions.find(Id);
+    if (It == Substitutions.end())
+      return;
+    ++Rep.SubstitutedUseChecks;
+    if (Value != It->second) {
+      ++Rep.ConstantMismatches;
+      Rep.fail("substituted use #" + std::to_string(Id) + SeedText +
+               ": claimed constant " + std::to_string(It->second) +
+               ", observed " + std::to_string(Value));
+    }
+  };
+  Hooks.OnProcEntry =
+      [&](ProcId Pid, const std::function<const int64_t *(SymbolId)> &Lookup) {
+        for (const auto &[Sym, Value] : EntryClaims[Pid]) {
+          const int64_t *Cell = Lookup(Sym);
+          if (!Cell)
+            continue;
+          ++Rep.EntryConstantChecks;
+          if (*Cell != Value) {
+            ++Rep.ConstantMismatches;
+            Rep.fail("CONSTANTS(" + Prog.Procs[Pid]->name() + ") entry " +
+                     Symbols.symbol(Sym).Name + "=" + std::to_string(Value) +
+                     SeedText + ": observed " + std::to_string(*Cell) +
+                     " on entry");
+          }
+        }
+      };
+  Rep.Run = Runner.run(RO, &Hooks);
+  return Rep;
+}
+
+/// Drops the final state of \p R: the oracle compares traces only.
+void keepTraceOnly(RunResult &R) {
+  R.FinalGlobals.clear();
+  R.FinalGlobalArrays.clear();
+}
+
+} // namespace
+
+/// One distinct set of claims on the reference program, and its replay
+/// per READ seed: configurations that claim the same share them.
+struct OracleProgram::ClaimSet {
+  SubstitutionMap Substitutions;
+  EntryClaimList EntryClaims;
+  /// Indexed like ReadSeeds; filled on first use.
+  std::vector<std::optional<ClaimReplay>> Replays;
+};
+
+/// A parsed program, its runner, and its trace per READ seed.
+struct OracleProgram::Traced {
+  CheckedProgram Parsed;
+  /// Built on the first trace (for the VM: compiled once).
+  std::optional<ProgramRunner> Runner;
+  /// Indexed like ReadSeeds; filled on first use.
+  std::vector<std::optional<RunResult>> Runs;
+};
+
+OracleProgram::OracleProgram(std::string_view Source, const OracleOptions &Opts)
+    : Source(Source), Limits(Opts.Limits), Engine(Opts.Engine),
+      ReadSeeds(Opts.ReadSeeds), Ref(std::make_unique<Traced>()) {
+  Ref->Parsed = parseChecked(Source);
+}
+
+OracleProgram::~OracleProgram() = default;
+
+const std::string &OracleProgram::parseError() const {
+  return Ref->Parsed.Error;
+}
+
+AnalysisSession &OracleProgram::session() {
+  if (!Session)
+    Session = std::make_unique<AnalysisSession>(*Ref->Parsed.Ctx,
+                                                Ref->Parsed.Symbols);
+  return *Session;
+}
+
+void OracleProgram::releaseSession() {
+  Session.reset();
+#ifdef __GLIBC__
+  // Hand the freed caches back to the OS, so what is allocated next does
+  // not stack resident memory on top of the fragments they leave.
+  malloc_trim(0);
+#endif
+}
+
+const InlineResult &OracleProgram::inlined() {
+  if (!Inlined)
+    Inlined = inlineProgram(*Ref->Parsed.Ctx, Ref->Parsed.Symbols);
+  return *Inlined;
+}
+
+OracleProgram::Traced &OracleProgram::derived(const std::string &Text) {
+  std::unique_ptr<Traced> &Slot = Derived[Text];
+  if (!Slot) {
+    Slot = std::make_unique<Traced>();
+    Slot->Parsed = parseChecked(Text);
+  }
+  return *Slot;
+}
+
+const RunResult &OracleProgram::trace(Traced &P, size_t SeedIdx) {
+  P.Runs.resize(ReadSeeds.size());
+  std::optional<RunResult> &Run = P.Runs[SeedIdx];
+  if (!Run) {
+    if (!P.Runner)
+      P.Runner.emplace(P.Parsed.Ctx->program(), P.Parsed.Symbols, Engine);
+    RunOptions RO;
+    RO.Limits = Limits;
+    RO.ReadSeed = ReadSeeds[SeedIdx];
+    Run = P.Runner->run(RO);
+    keepTraceOnly(*Run);
+    // A derived program with every trace taken is only looked up again
+    // for those traces and its parse status: free its AST and code.
+    if (&P != Ref.get() &&
+        std::all_of(P.Runs.begin(), P.Runs.end(),
+                    [](const auto &R) { return R.has_value(); })) {
+      P.Runner.reset();
+      P.Parsed.Ctx.reset();
+      P.Parsed.Symbols = SymbolTable();
+    }
+  }
+  return *Run;
+}
+
+OracleResult OracleProgram::validate(const OracleOptions &Opts) {
+  // Complete propagation may fold, and a run that folded is analyzed
+  // again in place: analyzing it in place straight away saves the
+  // session run.
+  if (!parseError().empty() || Opts.Pipeline.CompletePropagation)
+    return check(nullptr, Opts);
+  PipelineOptions POpts = Opts.Pipeline;
+  POpts.EmitTransformedSource = true;
+  PipelineResult Run = runPipelineOnSession(session(), POpts);
+  return check(&Run, Opts);
+}
+
+OracleResult OracleProgram::validate(const PipelineResult &Run,
+                                     const OracleOptions &Opts) {
+  return check(&Run, Opts);
+}
+
+OracleResult OracleProgram::check(const PipelineResult *SessionRun,
+                                  const OracleOptions &Opts) {
+  OracleResult R;
+  FailureLog Failures;
+
+  // Step 0: the reference program, and the run whose claims replay.
+  if (!parseError().empty()) {
+    R.Error = "source does not parse: " + parseError();
+    return R;
+  }
+  if (SessionRun && !SessionRun->Ok) {
+    R.Error = "pipeline failed: " + SessionRun->Error;
+    return R;
+  }
+  // A run that folded no branch analyzed the reference program, ids and
+  // all, so its claims replay on the shared reference runner. One that
+  // folded is analyzed again in place on a private parse, whose DCE'd
+  // program the claims then describe.
+  const PipelineResult *P = SessionRun;
+  const CheckedProgram *Analyzed = &Ref->Parsed;
+  CheckedProgram Folded;
+  PipelineResult FoldedRun;
+  std::optional<ProgramRunner> FoldedRunner;
+  if (!SessionRun || SessionRun->FoldedBranches != 0) {
+    Folded = parseChecked(Source);
+    PipelineOptions POpts = Opts.Pipeline;
+    POpts.EmitTransformedSource = true;
+    FoldedRun = runPipelineOnAst(*Folded.Ctx, Folded.Symbols, POpts);
+    if (!FoldedRun.Ok) {
+      R.Error = "pipeline failed: " + FoldedRun.Error;
+      return R;
+    }
+    P = &FoldedRun;
+    Analyzed = &Folded;
+    FoldedRunner.emplace(Folded.Ctx->program(), Folded.Symbols, Engine);
+  }
+  EntryClaimList EntryClaims = resolveEntryClaims(*P, *Analyzed);
+  ClaimSet *Claims = nullptr;
+  if (!FoldedRunner) {
+    for (const std::unique_ptr<ClaimSet> &S : ClaimSets)
+      if (S->Substitutions == P->Substitutions &&
+          S->EntryClaims == EntryClaims)
+        Claims = S.get();
+    if (!Claims) {
+      Claims = ClaimSets.emplace_back(std::make_unique<ClaimSet>()).get();
+      Claims->Substitutions = P->Substitutions;
+      Claims->EntryClaims = EntryClaims;
+      Claims->Replays.resize(ReadSeeds.size());
     }
   }
 
-  // Step 3 prep: the transformed source must reparse cleanly.
-  CheckedProgram Transformed = parseChecked(P.TransformedSource);
-  if (Opts.CheckTransformedSource && !Transformed.ok())
-    Failures.add("transformed source does not reparse: " +
-                 Transformed.Error);
-
-  // Step 4 prep: the inlined and cloned programs.
-  CheckedProgram Inlined;
-  if (Opts.CheckInliner) {
-    InlineResult IR = inlineProgram(*Ref.Ctx, Ref.Symbols);
-    Inlined = parseChecked(IR.Source);
-    if (!Inlined.ok())
-      Failures.add("inlined program does not reparse: " + Inlined.Error);
+  // Steps 3 and 4 prep: the derived programs must reparse cleanly.
+  Traced *Transformed = nullptr, *InlinedProg = nullptr, *Cloned = nullptr;
+  if (Opts.CheckTransformedSource) {
+    Transformed = &derived(P->TransformedSource);
+    if (!Transformed->Parsed.ok())
+      Failures.add("transformed source does not reparse: " +
+                   Transformed->Parsed.Error);
   }
-  CheckedProgram Cloned;
+  if (Opts.CheckInliner) {
+    InlinedProg = &derived(inlined().Source);
+    if (!InlinedProg->Parsed.ok())
+      Failures.add("inlined program does not reparse: " +
+                   InlinedProg->Parsed.Error);
+  }
   if (Opts.CheckCloning) {
     CloneResult CR = cloneForConstants(Source);
     if (!CR.Ok) {
       Failures.add("cloning transform failed: " + CR.Error);
     } else {
-      Cloned = parseChecked(CR.Source);
-      if (!Cloned.ok())
-        Failures.add("cloned program does not reparse: " + Cloned.Error);
+      Cloned = &derived(CR.Source);
+      if (!Cloned->Parsed.ok())
+        Failures.add("cloned program does not reparse: " +
+                     Cloned->Parsed.Error);
     }
   }
 
-  // Runners are built once and reused across seeds: for the VM engine
-  // this compiles each program exactly once per validation.
-  ProgramRunner RefRunner(Ref.Ctx->program(), Ref.Symbols, Opts.Engine);
-  ProgramRunner AnRunner(AnProg, Analyzed.Symbols, Opts.Engine);
-  std::optional<ProgramRunner> TrRunner, InRunner, ClRunner;
-  if (Opts.CheckTransformedSource && Transformed.ok())
-    TrRunner.emplace(Transformed.Ctx->program(), Transformed.Symbols,
-                     Opts.Engine);
-  if (Opts.CheckInliner && Inlined.ok())
-    InRunner.emplace(Inlined.Ctx->program(), Inlined.Symbols, Opts.Engine);
-  if (Opts.CheckCloning && Cloned.ok() && Cloned.Ctx)
-    ClRunner.emplace(Cloned.Ctx->program(), Cloned.Symbols, Opts.Engine);
-
-  for (uint64_t Seed : Opts.ReadSeeds) {
-    RunOptions RO;
-    RO.Limits = Opts.Limits;
-    RO.ReadSeed = Seed;
-
-    RunResult RefRun = RefRunner.run(RO);
+  for (size_t SeedIdx = 0; SeedIdx != ReadSeeds.size(); ++SeedIdx) {
+    uint64_t Seed = ReadSeeds[SeedIdx];
+    const RunResult &RefRun = trace(*Ref, SeedIdx);
     ++R.RunsExecuted;
 
     auto compare = [&](const char *What, const RunResult &Got) {
@@ -216,68 +407,58 @@ OracleResult ipcp::validateTranslation(std::string_view Source,
       }
     };
 
-    // Step 2: replay the analyzed AST, checking every claim.
+    // Step 2: replay the analyzed program, checking every claim. A
+    // claim set another configuration already replayed on the reference
+    // program is not run again.
     {
-      ExecHooks Hooks;
-      Hooks.OnVarUse = [&](ExprId Id, int64_t Value) {
-        auto It = P.Substitutions.find(Id);
-        if (It == P.Substitutions.end())
-          return;
-        ++R.SubstitutedUseChecks;
-        if (Value != It->second) {
-          ++R.ConstantMismatches;
-          Failures.add("substituted use #" + std::to_string(Id) +
-                       " (seed " + std::to_string(Seed) +
-                       "): claimed constant " +
-                       std::to_string(It->second) + ", observed " +
-                       std::to_string(Value));
+      RunOptions RO;
+      RO.Limits = Limits;
+      RO.ReadSeed = Seed;
+      ClaimReplay Own;
+      const ClaimReplay *Rep = &Own;
+      if (FoldedRunner) {
+        Own = replayClaims(*FoldedRunner, RO, Analyzed->Ctx->program(),
+                           Analyzed->Symbols, P->Substitutions, EntryClaims);
+      } else {
+        std::optional<ClaimReplay> &Shared = Claims->Replays[SeedIdx];
+        if (!Shared) {
+          Shared = replayClaims(*Ref->Runner, RO, Ref->Parsed.Ctx->program(),
+                                Ref->Parsed.Symbols, P->Substitutions,
+                                EntryClaims);
+          keepTraceOnly(Shared->Run);
         }
-      };
-      Hooks.OnProcEntry =
-          [&](ProcId Pid,
-              const std::function<const int64_t *(SymbolId)> &Lookup) {
-            for (const auto &[Sym, Value] : EntryClaims[Pid]) {
-              const int64_t *Cell = Lookup(Sym);
-              if (!Cell)
-                continue;
-              ++R.EntryConstantChecks;
-              if (*Cell != Value) {
-                ++R.ConstantMismatches;
-                Failures.add(
-                    "CONSTANTS(" + AnProg.Procs[Pid]->name() + ") entry " +
-                    Analyzed.Symbols.symbol(Sym).Name + "=" +
-                    std::to_string(Value) + " (seed " +
-                    std::to_string(Seed) + "): observed " +
-                    std::to_string(*Cell) + " on entry");
-              }
-            }
-          };
-      RunResult AnRun = AnRunner.run(RO, &Hooks);
+        Rep = &*Shared;
+      }
+      R.SubstitutedUseChecks += Rep->SubstitutedUseChecks;
+      R.EntryConstantChecks += Rep->EntryConstantChecks;
+      R.ConstantMismatches += Rep->ConstantMismatches;
+      for (unsigned I = 0; I != Rep->NumFailures; ++I)
+        Failures.add(I < Rep->Failures.size() ? Rep->Failures[I] : "");
       ++R.RunsExecuted;
-      compare("analyzed/DCE'd program trace", AnRun);
+      compare("analyzed/DCE'd program trace", Rep->Run);
     }
 
-    // Step 3: the textually substituted source.
-    if (TrRunner) {
-      RunResult TrRun = TrRunner->run(RO);
+    // Steps 3 and 4: the textually substituted source, the inliner and
+    // the cloning transform.
+    for (auto [What, Prog] :
+         {std::pair<const char *, Traced *>{"transformed-source trace",
+                                            Transformed},
+          {"inlined program trace", InlinedProg},
+          {"cloned program trace", Cloned}}) {
+      if (!Prog || !Prog->Parsed.ok())
+        continue;
+      const RunResult &Got = trace(*Prog, SeedIdx);
       ++R.RunsExecuted;
-      compare("transformed-source trace", TrRun);
-    }
-
-    // Step 4: the inliner and cloning transforms.
-    if (InRunner) {
-      RunResult InRun = InRunner->run(RO);
-      ++R.RunsExecuted;
-      compare("inlined program trace", InRun);
-    }
-    if (ClRunner) {
-      RunResult ClRun = ClRunner->run(RO);
-      ++R.RunsExecuted;
-      compare("cloned program trace", ClRun);
+      compare(What, Got);
     }
   }
 
   R.Ok = Failures.count() == 0;
   R.Error = Failures.text();
   return R;
+}
+
+OracleResult ipcp::validateTranslation(std::string_view Source,
+                                       const OracleOptions &Opts) {
+  return OracleProgram(Source, Opts).validate(Opts);
 }

@@ -13,14 +13,14 @@
 /// checking every claim the analysis made against the values actually
 /// observed.
 ///
-/// Concretely, validateTranslation():
+/// Concretely, validating one configuration:
 ///
 ///  1. runs the original program as parsed (the reference trace);
-///  2. re-runs the analyzed AST (mutated by DCE under complete
-///     propagation) with hooks asserting that every substituted use
-///     carries exactly its claimed constant and that every CONSTANTS(p)
-///     entry holds on every observed entry to p, and compares its trace
-///     to the reference;
+///  2. re-runs the analyzed program (the DCE'd one when complete
+///     propagation folded a branch) with hooks asserting that every
+///     substituted use carries exactly its claimed constant and that
+///     every CONSTANTS(p) entry holds on every observed entry to p, and
+///     compares its trace to the reference;
 ///  3. reparses the EmitTransformedSource output and compares its trace;
 ///  4. optionally applies the same trace check to the procedure
 ///     integrator (Inliner) and the cloning transform.
@@ -30,6 +30,20 @@
 /// budget), in which case the truncated trace must be a prefix of the
 /// other (resource limits are budget artifacts, not semantics).
 ///
+/// OracleProgram holds the work that does not depend on the
+/// configuration, so validating many configurations of one program (the
+/// fuzzer validates ten per candidate) does it once: the reference parse
+/// and its Sema, an AnalysisSession over that parse, the reference runner
+/// and its trace per READ seed, and the parse, runner and traces of every
+/// derived program (transformed, inlined and cloned sources), keyed by
+/// source text. A configuration that folded no branch analyzed the
+/// reference program itself (same ids), so step 2 replays its claims
+/// through a hooked run of the shared reference runner; one that folded
+/// is re-analyzed in place on a private parse, and its claims replay on
+/// that DCE'd program. A trace served from the cache counts as the run
+/// it replaces, so every OracleResult — counters, Ok and Error — is the
+/// one a lone validateTranslation of that configuration reports.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPCP_EXEC_ORACLE_H
@@ -37,8 +51,13 @@
 
 #include "exec/ExecEngine.h"
 #include "exec/Interpreter.h"
+#include "ipcp/Inliner.h"
 #include "ipcp/Pipeline.h"
 
+#include <functional>
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,9 +107,71 @@ struct OracleResult {
   unsigned ConstantMismatches = 0;
 };
 
-/// Validates \p Source under \p Opts. Returns Ok=false with a diagnostic
-/// in Error if the source does not parse, the pipeline fails, a
-/// transformed program does not reparse, or any executed check fails.
+/// One program under validation, with the work every configuration's
+/// validation shares (see the file comment).
+class OracleProgram {
+public:
+  /// Parses and checks \p Source. \p Opts' Limits, Engine and ReadSeeds
+  /// fix the runs of every validation of this program; its other fields
+  /// are not read here.
+  OracleProgram(std::string_view Source, const OracleOptions &Opts);
+  ~OracleProgram();
+  OracleProgram(const OracleProgram &) = delete;
+  OracleProgram &operator=(const OracleProgram &) = delete;
+
+  /// Empty when the source parsed and checked, else its diagnostics.
+  /// The accessors below require an empty parseError().
+  const std::string &parseError() const;
+
+  /// The session over the reference parse, made on first use. Analyses
+  /// run on it with runPipelineOnSession never mutate the reference
+  /// program.
+  AnalysisSession &session();
+  /// Frees the session and everything it cached, once no more analyses
+  /// will run on it (validating a finished run needs none). A later
+  /// session() starts a cold one.
+  void releaseSession();
+
+  /// The procedure integrator's output for the reference program, made
+  /// on first use.
+  const InlineResult &inlined();
+
+  /// Analyzes Opts.Pipeline on session() and validates it.
+  OracleResult validate(const OracleOptions &Opts);
+
+  /// Validates \p Run, a runPipelineOnSession(session(), ...) result of
+  /// Opts.Pipeline with EmitTransformedSource set. \p Opts' Limits,
+  /// Engine and ReadSeeds must be the ones this program was built with.
+  OracleResult validate(const PipelineResult &Run, const OracleOptions &Opts);
+
+private:
+  struct Traced;
+  struct ClaimSet;
+
+  /// The cached parse and runner of a derived program.
+  Traced &derived(const std::string &Text);
+  /// \p P's trace under the seed at \p SeedIdx, run on first use.
+  const RunResult &trace(Traced &P, size_t SeedIdx);
+  /// Validates \p SessionRun, or, when it is null or folded a branch, a
+  /// run of Opts.Pipeline in place on a private parse.
+  OracleResult check(const PipelineResult *SessionRun,
+                     const OracleOptions &Opts);
+
+  std::string Source;
+  RunLimits Limits;
+  ExecEngine Engine;
+  std::vector<uint64_t> ReadSeeds;
+  std::unique_ptr<Traced> Ref;
+  std::unique_ptr<AnalysisSession> Session;
+  std::optional<InlineResult> Inlined;
+  std::map<std::string, std::unique_ptr<Traced>, std::less<>> Derived;
+  std::vector<std::unique_ptr<ClaimSet>> ClaimSets;
+};
+
+/// Validates \p Source under \p Opts: a one-configuration use of
+/// OracleProgram. Returns Ok=false with a diagnostic in Error if the
+/// source does not parse, the pipeline fails, a transformed program does
+/// not reparse, or any executed check fails.
 OracleResult validateTranslation(std::string_view Source,
                                  const OracleOptions &Opts);
 

@@ -12,9 +12,9 @@
 #include "fuzz/Mutator.h"
 #include "fuzz/Reducer.h"
 #include "ipcp/AnalysisConfig.h"
+#include "ipcp/AnalysisSession.h"
 #include "ipcp/Cloning.h"
 #include "ipcp/Inliner.h"
-#include "lang/Parser.h"
 #include "support/FuzzFeedback.h"
 #include "workloads/RandomProgram.h"
 
@@ -105,14 +105,54 @@ bool constantsSubset(const PipelineResult &Weak,
 
 std::optional<FuzzFailure>
 ipcp::evaluateProgram(const std::string &Source, FuzzFeedback &FB,
-                      const FuzzOptions &Opts) {
+                      const FuzzOptions &Opts,
+                      std::vector<OracleResult> *OracleResults) {
   const std::vector<FuzzConfig> &Configs = fuzzConfigs();
+  // One parse, one session and one reference run serve every check
+  // below: each configuration is analyzed once, and that result feeds
+  // both the cross-config checks and its oracle validation.
+  OracleOptions Shared;
+  Shared.Limits.MaxSteps = Opts.MaxSteps;
+  Shared.Engine = Opts.Engine;
+  OracleProgram Prog(Source, Shared);
+  if (!Prog.parseError().empty())
+    return makeFailure("pipeline-error", Configs[0].Name, Prog.parseError(),
+                       Source);
+  // The transforms' work runs first, while the heap is small: their
+  // analyses allocate as the session's do, so the two reuse each other's
+  // memory instead of stacking. Their features and checks still come
+  // after the strategy checks.
+  std::optional<std::string> InlinerError;
+  std::optional<CloneResult> Cloned;
+  if (Opts.CheckTransforms) {
+    PipelineResult InlinedRun =
+        runPipeline(Prog.inlined().Source, PipelineOptions());
+    if (!InlinedRun.Ok) {
+      InlinerError = InlinedRun.Error;
+    } else {
+      CloneOptions CO;
+      CO.MaxRounds = 2;
+      CO.MaxClones = 8;
+      Cloned = cloneForConstants(Source, CO);
+    }
+  }
+
   std::vector<PipelineResult> Results;
   Results.reserve(Configs.size());
   for (const FuzzConfig &Cfg : Configs) {
     PipelineOptions PO = Cfg.Pipeline;
     PO.Feedback = &FB;
-    PipelineResult R = runPipeline(Source, PO);
+    PO.EmitTransformedSource = true;
+    PipelineResult R;
+    if (PO.UseMod) {
+      R = runPipelineOnSession(Prog.session(), PO);
+    } else {
+      // No other configuration reads the no-MOD SSA, aliases or jump
+      // function base: a throwaway session keeps them from piling up on
+      // the shared one (they would raise the evaluation's peak memory).
+      AnalysisSession Own(Prog.session().ast(), Prog.session().symbols());
+      R = runPipelineOnSession(Own, PO);
+    }
     if (!R.Ok)
       return makeFailure("pipeline-error", Cfg.Name, R.Error, Source);
     Results.push_back(std::move(R));
@@ -159,57 +199,49 @@ ipcp::evaluateProgram(const std::string &Source, FuzzFeedback &FB,
         Source);
 
   // Solver strategies are alternative fixpoint schedules over the same
-  // equations; any visible difference is a solver bug.
+  // equations; any visible difference is a solver bug. They run on the
+  // now-warm session against poly's run on the cold one, so the check
+  // also compares warm results with cold ones.
   for (SolverStrategy S :
        {SolverStrategy::RoundRobin, SolverStrategy::BindingGraph}) {
     PipelineOptions PO = Configs[0].Pipeline;
     PO.Strategy = S;
-    PipelineResult R = runPipeline(Source, PO);
+    PipelineResult R = runPipelineOnSession(Prog.session(), PO);
     if (!R.Ok || !sameAnalysis(Results[0], R))
       return makeFailure(
           "strategy-disagreement",
           solverStrategyToken(S),
           R.Ok ? "results differ from worklist solver" : R.Error, Source);
   }
+  // Nothing below analyzes on the session: free its caches before the
+  // oracle allocates its own.
+  Prog.releaseSession();
 
   if (Opts.CheckTransforms) {
     // Feature-record the transforms' decisions and require their output
     // to stay analyzable; behavioral equivalence is the oracle's job.
-    DiagnosticEngine Diags;
-    auto Ctx = parseProgram(Source, Diags);
-    SymbolTable Symbols;
-    if (!Diags.hasErrors())
-      Symbols = Sema::run(*Ctx, Diags);
-    if (Diags.hasErrors())
-      return makeFailure("pipeline-error", "frontend", Diags.str(), Source);
-    InlineResult Inlined = inlineProgram(*Ctx, Symbols);
+    const InlineResult &Inlined = Prog.inlined();
     FB.hit(FuzzFeature::InlinedCalls, Inlined.InlinedCalls);
     FB.hit(FuzzFeature::InlineSkippedRecursive, Inlined.SkippedRecursive);
     FB.hit(FuzzFeature::InlineSkippedHasReturn, Inlined.SkippedHasReturn);
-    PipelineResult InlinedRun = runPipeline(Inlined.Source, PipelineOptions());
-    if (!InlinedRun.Ok)
-      return makeFailure("transform-error", "inliner", InlinedRun.Error,
+    if (InlinerError)
+      return makeFailure("transform-error", "inliner", *InlinerError,
                          Source);
-
-    CloneOptions CO;
-    CO.MaxRounds = 2;
-    CO.MaxClones = 8;
-    CloneResult Cloned = cloneForConstants(Source, CO);
-    if (!Cloned.Ok)
-      return makeFailure("transform-error", "cloning", Cloned.Error, Source);
-    FB.hit(FuzzFeature::ClonesCreated, Cloned.ClonesCreated);
-    FB.hit(FuzzFeature::CloneRounds, Cloned.Rounds);
+    if (!Cloned->Ok)
+      return makeFailure("transform-error", "cloning", Cloned->Error, Source);
+    FB.hit(FuzzFeature::ClonesCreated, Cloned->ClonesCreated);
+    FB.hit(FuzzFeature::CloneRounds, Cloned->Rounds);
   }
 
   // Ground truth last (the expensive part): execution traces and claimed
   // constants must survive every configuration's transforms.
   for (size_t I = 0; I != Configs.size(); ++I) {
-    OracleOptions OO;
+    OracleOptions OO = Shared;
     OO.Pipeline = Configs[I].Pipeline;
-    OO.Limits.MaxSteps = Opts.MaxSteps;
-    OO.Engine = Opts.Engine;
     OO.CheckInliner = OO.CheckCloning = I == 0 && Opts.CheckTransforms;
-    OracleResult R = validateTranslation(Source, OO);
+    OracleResult R = Prog.validate(Results[I], OO);
+    if (OracleResults)
+      OracleResults->push_back(R);
     if (!R.Ok)
       return makeFailure("oracle-mismatch", Configs[I].Name, R.Error,
                          Source);

@@ -16,6 +16,12 @@
 /// and the translation-validation oracle — and failures are reduced to
 /// minimal reproducers (fuzz/Reducer.h) and reported.
 ///
+/// One candidate's checks share their work through an OracleProgram
+/// (exec/Oracle.h): one parse, one AnalysisSession that analyzes each
+/// configuration once for both the cross-config checks and the oracle,
+/// and one reference run per READ seed. The solver memo features
+/// therefore count memo traffic on that shared session.
+///
 /// Everything is deterministic from FuzzOptions::Seed (given the same
 /// starting corpus and no wall-clock budget): the PRNG chain derives one
 /// child per iteration, corpus order is by name, and no decision reads a
@@ -38,6 +44,7 @@
 
 namespace ipcp {
 class FuzzFeedback;
+struct OracleResult;
 
 /// One analyzer configuration under test, with a stable display name.
 struct FuzzConfig {
@@ -124,10 +131,26 @@ struct FuzzResult {
 /// features into \p FB and running the cross-config checks and the
 /// oracle. Returns the first failure, or nullopt when all checks pass.
 /// This is the fuzzer's whole evaluation of one program; the corpus
-/// replay test calls it directly.
-std::optional<FuzzFailure> evaluateProgram(const std::string &Source,
-                                           FuzzFeedback &FB,
-                                           const FuzzOptions &Opts);
+/// replay test calls it directly. When \p OracleResults is non-null, it
+/// receives each configuration's oracle result in config order, as far
+/// as the evaluation got.
+///
+/// The checks share one OracleProgram (exec/Oracle.h): one parse, one
+/// AnalysisSession and one reference run per READ seed. Each
+/// configuration is analyzed once, and that result feeds both the
+/// cross-config checks and its oracle validation; only a configuration
+/// that folded a branch is analyzed again, in place, for the oracle.
+/// The MOD configurations share the session; the no-MOD one, which
+/// shares none of its MOD-dependent caches, gets a throwaway session so
+/// they do not pile up. The solver strategies run last, on the warm
+/// session. Every check and its failure report are the ones separate
+/// cold runs would give, except the SolverMemoHits/SolverMemoMisses
+/// features: they count memo traffic on the session a configuration
+/// ran on, so hits carry over from one configuration to the next.
+std::optional<FuzzFailure>
+evaluateProgram(const std::string &Source, FuzzFeedback &FB,
+                const FuzzOptions &Opts,
+                std::vector<OracleResult> *OracleResults = nullptr);
 
 /// Runs one campaign.
 FuzzResult runFuzzer(const FuzzOptions &Opts);
