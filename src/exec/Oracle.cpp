@@ -211,9 +211,9 @@ void keepTraceOnly(RunResult &R) {
 
 } // namespace
 
-/// One distinct set of claims on the reference program, and its replay
-/// per READ seed: configurations that claim the same share them.
+/// One distinct set of claims, and its replay per READ seed.
 struct OracleProgram::ClaimSet {
+  /// Empty for a private set (its run's own map is replayed).
   SubstitutionMap Substitutions;
   EntryClaimList EntryClaims;
   /// Indexed like ReadSeeds; filled on first use.
@@ -349,18 +349,25 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
     Analyzed = &Folded;
     FoldedRunner.emplace(Folded.Ctx->program(), Folded.Symbols, Engine);
   }
-  EntryClaimList EntryClaims = resolveEntryClaims(*P, *Analyzed);
-  ClaimSet *Claims = nullptr;
+  // Step 2's claims and their replays: shared by every configuration
+  // that makes the same claims on the reference program, private to one
+  // that folded.
+  auto Own = std::make_unique<ClaimSet>();
+  Own->EntryClaims = resolveEntryClaims(*P, *Analyzed);
+  Own->Replays.resize(ReadSeeds.size());
+  ClaimSet *Claims = Own.get();
   if (!FoldedRunner) {
-    for (const std::unique_ptr<ClaimSet> &S : ClaimSets)
-      if (S->Substitutions == P->Substitutions &&
-          S->EntryClaims == EntryClaims)
-        Claims = S.get();
-    if (!Claims) {
-      Claims = ClaimSets.emplace_back(std::make_unique<ClaimSet>()).get();
-      Claims->Substitutions = P->Substitutions;
-      Claims->EntryClaims = EntryClaims;
-      Claims->Replays.resize(ReadSeeds.size());
+    auto Same = std::find_if(
+        ClaimSets.begin(), ClaimSets.end(),
+        [&](const std::unique_ptr<ClaimSet> &S) {
+          return S->Substitutions == P->Substitutions &&
+                 S->EntryClaims == Own->EntryClaims;
+        });
+    if (Same != ClaimSets.end()) {
+      Claims = Same->get();
+    } else {
+      Own->Substitutions = P->Substitutions;
+      ClaimSets.push_back(std::move(Own));
     }
   }
 
@@ -407,27 +414,18 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
       }
     };
 
-    // Step 2: replay the analyzed program, checking every claim. A
-    // claim set another configuration already replayed on the reference
-    // program is not run again.
+    // Step 2: replay the analyzed program, checking every claim, unless
+    // another configuration already replayed the same claims.
     {
-      RunOptions RO;
-      RO.Limits = Limits;
-      RO.ReadSeed = Seed;
-      ClaimReplay Own;
-      const ClaimReplay *Rep = &Own;
-      if (FoldedRunner) {
-        Own = replayClaims(*FoldedRunner, RO, Analyzed->Ctx->program(),
-                           Analyzed->Symbols, P->Substitutions, EntryClaims);
-      } else {
-        std::optional<ClaimReplay> &Shared = Claims->Replays[SeedIdx];
-        if (!Shared) {
-          Shared = replayClaims(*Ref->Runner, RO, Ref->Parsed.Ctx->program(),
-                                Ref->Parsed.Symbols, P->Substitutions,
-                                EntryClaims);
-          keepTraceOnly(Shared->Run);
-        }
-        Rep = &*Shared;
+      std::optional<ClaimReplay> &Rep = Claims->Replays[SeedIdx];
+      if (!Rep) {
+        RunOptions RO;
+        RO.Limits = Limits;
+        RO.ReadSeed = Seed;
+        Rep = replayClaims(FoldedRunner ? *FoldedRunner : *Ref->Runner, RO,
+                           Analyzed->Ctx->program(), Analyzed->Symbols,
+                           P->Substitutions, Claims->EntryClaims);
+        keepTraceOnly(Rep->Run);
       }
       R.SubstitutedUseChecks += Rep->SubstitutedUseChecks;
       R.EntryConstantChecks += Rep->EntryConstantChecks;

@@ -38,11 +38,12 @@
 /// derived program (transformed, inlined and cloned sources), keyed by
 /// source text. A configuration that folded no branch analyzed the
 /// reference program itself (same ids), so step 2 replays its claims
-/// through a hooked run of the shared reference runner; one that folded
-/// is re-analyzed in place on a private parse, and its claims replay on
-/// that DCE'd program. A trace served from the cache counts as the run
-/// it replaces, so every OracleResult — counters, Ok and Error — is the
-/// one a lone validateTranslation of that configuration reports.
+/// through a hooked run of the shared reference runner, once per
+/// distinct set of claims; one that folded is re-analyzed in place on a
+/// private parse, and its claims replay on that DCE'd program. A trace
+/// or replay served from the cache counts as the run it replaces, so
+/// every OracleResult — counters, Ok and Error — is the one a lone
+/// validateTranslation of that configuration reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,7 +129,8 @@ public:
   /// program.
   AnalysisSession &session();
   /// Frees the session and everything it cached, once no more analyses
-  /// will run on it (validating a finished run needs none). A later
+  /// will run on it (validating a finished run needs none), and hands
+  /// the freed memory back to the OS where the allocator allows. A later
   /// session() starts a cold one.
   void releaseSession();
 
@@ -136,7 +138,9 @@ public:
   /// on first use.
   const InlineResult &inlined();
 
-  /// Analyzes Opts.Pipeline on session() and validates it.
+  /// Analyzes Opts.Pipeline and validates it. The analysis runs on
+  /// session(), or, under complete propagation (which may fold),
+  /// straight in place on a private parse.
   OracleResult validate(const OracleOptions &Opts);
 
   /// Validates \p Run, a runPipelineOnSession(session(), ...) result of

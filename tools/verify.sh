@@ -32,15 +32,19 @@
 # cold-path bench gates: the suite bench's >=0.3 solver-memo hit-rate and
 # >=2x warm-speedup gates and the serve bench's >=2x hot-vs-cold and
 # byte-identity gates. Sanitizer presets skip these —
-# wall-clock gates are meaningless under instrumentation.
+# wall-clock gates are meaningless under instrumentation. Unless --quick,
+# the default preset then runs the random fuzz sweep
+# (tools/fuzz-sweep.py: 6000 random campaign seeds, `ipcp-fuzz --runs=4
+# --seed-programs=3` each, 4 at a time), which must report no failing
+# seed.
 #
 # When gcov is available, finishes with a small instrumented (cov
 # preset) check-fuzz run and prints the line-coverage summary the
 # campaign achieves over src/ (tools/coverage-report.sh).
 #
 # Usage: tools/verify.sh [--quick] [--tsan]
-#   --quick   default preset only (skip the sanitizer rebuild and the
-#             coverage pass)
+#   --quick   default preset only (skip the sanitizer rebuild, the
+#             random fuzz sweep and the coverage pass)
 #   --tsan    also build the 'tsan' preset and run the tier-1,
 #             check-copy, check-serve, and check-vm suites plus the VM
 #             bench smoke
@@ -59,9 +63,10 @@ cd "$(dirname "$0")/.."
 
 PRESETS=(default asan)
 RUN_TSAN=0
+RUN_SWEEP=1
 for arg in "$@"; do
   case "$arg" in
-    --quick) PRESETS=(default) ;;
+    --quick) PRESETS=(default); RUN_SWEEP=0 ;;
     --tsan)  RUN_TSAN=1 ;;
     *)       echo "usage: tools/verify.sh [--quick] [--tsan]" >&2; exit 2 ;;
   esac
@@ -110,6 +115,11 @@ for preset in "${PRESETS[@]}"; do
     echo "==== [default] full memo/cold-path bench gates ===="
     ./build/bench/incremental_speedup --json=build/BENCH_suite.json
     ./build/bench/serve_throughput --json=build/BENCH_serve.json
+    if [[ "$RUN_SWEEP" == "1" ]]; then
+      echo "==== [default] random fuzz sweep (6000 campaign seeds) ===="
+      python3 tools/fuzz-sweep.py --fuzzer=build/tools/ipcp-fuzz \
+              --seeds=6000 --jobs=4
+    fi
   fi
 done
 
