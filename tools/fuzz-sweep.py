@@ -3,19 +3,19 @@
 
 Runs one short ipcp-fuzz campaign (--runs=4 --seed-programs=3) per random
 64-bit campaign seed, four campaigns at a time, and reports every seed
-whose campaign reports a failure. The seeds are drawn from --master, so a
-sweep is reproducible; a failing seed replays alone with
+whose campaign reports a failure. The seeds are drawn from a fixed master
+seed, so every sweep runs the same campaigns; a failing seed is printed
+in full and replays alone with
 
-    ipcp-fuzz --seed=<seed> --runs=4 --seed-programs=3
+    build/tools/ipcp-fuzz --seed=<seed> --runs=4 --seed-programs=3
 
-Usage: tools/fuzz-sweep.py [--fuzzer=build/tools/ipcp-fuzz] [--seeds=6000]
-                           [--master=1]
+Usage: tools/fuzz-sweep.py   (from the repository root, after a build of
+                              the default preset)
 
 Prints one line per failing seed, then a summary line with the seed count,
 the failure count and the wall time. Exits 1 when any campaign failed.
 """
 
-import argparse
 import concurrent.futures
 import random
 import re
@@ -25,12 +25,17 @@ import time
 
 # Campaigns run at once: the gate is defined on a 4-core box.
 JOBS = 4
+# The fuzzer the sweep runs, relative to the repository root.
+FUZZER = "build/tools/ipcp-fuzz"
+# Campaign seeds per sweep, and the master seed they are drawn from.
+SEEDS = 6000
+MASTER = 1
 
 
-def run_campaign(fuzzer, seed):
+def run_campaign(seed):
     """Returns (seed, failures, output) for one campaign."""
     proc = subprocess.run(
-        [fuzzer, f"--seed={seed}", "--runs=4", "--seed-programs=3", "--quiet"],
+        [FUZZER, f"--seed={seed}", "--runs=4", "--seed-programs=3", "--quiet"],
         capture_output=True, text=True)
     match = re.search(r" failures=(\d+)\n", proc.stdout)
     if proc.returncode != 0 and not match:
@@ -39,21 +44,12 @@ def run_campaign(fuzzer, seed):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fuzzer", default="build/tools/ipcp-fuzz")
-    parser.add_argument("--seeds", type=int, default=6000)
-    parser.add_argument("--master", type=int, default=1)
-    args = parser.parse_args()
-    if args.seeds < 1:
-        parser.error("--seeds must be positive")
-
-    rng = random.Random(args.master)
-    seeds = [rng.getrandbits(64) for _ in range(args.seeds)]
+    rng = random.Random(MASTER)
+    seeds = [rng.getrandbits(64) for _ in range(SEEDS)]
     start = time.monotonic()
     failing = []
     with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
-        for seed, failures, output in pool.map(
-                lambda s: run_campaign(args.fuzzer, s), seeds):
+        for seed, failures, output in pool.map(run_campaign, seeds):
             if failures != 0:
                 failing.append(seed)
                 kinds = re.findall(r"FAILURE kind=(\S+) config=(\S+)", output)
@@ -61,7 +57,7 @@ def main():
                     "no summary line (crash?)"
                 print(f"FAIL seed={seed}: {what}", flush=True)
     wall = time.monotonic() - start
-    print(f"sweep: {args.seeds} seeds (master {args.master}), "
+    print(f"sweep: {SEEDS} seeds (master {MASTER}), "
           f"{len(failing)} failing, {wall:.1f} s wall with {JOBS} jobs")
     return 1 if failing else 0
 

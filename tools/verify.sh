@@ -117,7 +117,7 @@ for preset in "${PRESETS[@]}"; do
     ./build/bench/serve_throughput --json=build/BENCH_serve.json
     if [[ "$RUN_SWEEP" == "1" ]]; then
       echo "==== [default] random fuzz sweep (6000 campaign seeds) ===="
-      python3 tools/fuzz-sweep.py --fuzzer=build/tools/ipcp-fuzz --seeds=6000
+      python3 tools/fuzz-sweep.py
     fi
   fi
 done
