@@ -11,9 +11,6 @@
 #include "lang/Parser.h"
 
 #include <algorithm>
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -220,18 +217,18 @@ struct OracleProgram::ClaimSet {
   std::vector<std::optional<ClaimReplay>> Replays;
 };
 
-/// A parsed program, its runner, and its trace per READ seed.
+/// A parsed program, its runner, and its trace per READ seed. A derived
+/// program keeps only its traces and its parse status (see derived()).
 struct OracleProgram::Traced {
   CheckedProgram Parsed;
   /// Built on the first trace (for the VM: compiled once).
   std::optional<ProgramRunner> Runner;
   /// Indexed like ReadSeeds; filled on first use.
-  std::vector<std::optional<RunResult>> Runs;
+  std::vector<std::optional<RunResult>> Traces;
 };
 
-OracleProgram::OracleProgram(std::string_view Source, const OracleOptions &Opts)
-    : Source(Source), Limits(Opts.Limits), Engine(Opts.Engine),
-      ReadSeeds(Opts.ReadSeeds), Ref(std::make_unique<Traced>()) {
+OracleProgram::OracleProgram(std::string_view Source, const OracleRuns &Runs)
+    : Source(Source), Runs(Runs), Ref(std::make_unique<Traced>()) {
   Ref->Parsed = parseChecked(Source);
 }
 
@@ -239,22 +236,6 @@ OracleProgram::~OracleProgram() = default;
 
 const std::string &OracleProgram::parseError() const {
   return Ref->Parsed.Error;
-}
-
-AnalysisSession &OracleProgram::session() {
-  if (!Session)
-    Session = std::make_unique<AnalysisSession>(*Ref->Parsed.Ctx,
-                                                Ref->Parsed.Symbols);
-  return *Session;
-}
-
-void OracleProgram::releaseSession() {
-  Session.reset();
-#ifdef __GLIBC__
-  // Hand the freed caches back to the OS, so what is allocated next does
-  // not stack resident memory on top of the fragments they leave.
-  malloc_trim(0);
-#endif
 }
 
 const InlineResult &OracleProgram::inlined() {
@@ -268,55 +249,71 @@ OracleProgram::Traced &OracleProgram::derived(const std::string &Text) {
   if (!Slot) {
     Slot = std::make_unique<Traced>();
     Slot->Parsed = parseChecked(Text);
+    // Take every trace now and free the AST and code, which are never
+    // looked at again: a check builds up to three derived programs, and
+    // they would otherwise all be resident at once.
+    if (Slot->Parsed.ok()) {
+      for (size_t I = 0; I != Runs.ReadSeeds.size(); ++I)
+        trace(*Slot, I);
+      Slot->Runner.reset();
+      Slot->Parsed.Ctx.reset();
+      Slot->Parsed.Symbols = SymbolTable();
+    }
   }
   return *Slot;
 }
 
 const RunResult &OracleProgram::trace(Traced &P, size_t SeedIdx) {
-  P.Runs.resize(ReadSeeds.size());
-  std::optional<RunResult> &Run = P.Runs[SeedIdx];
+  P.Traces.resize(Runs.ReadSeeds.size());
+  std::optional<RunResult> &Run = P.Traces[SeedIdx];
   if (!Run) {
     if (!P.Runner)
-      P.Runner.emplace(P.Parsed.Ctx->program(), P.Parsed.Symbols, Engine);
+      P.Runner.emplace(P.Parsed.Ctx->program(), P.Parsed.Symbols,
+                       Runs.Engine);
     RunOptions RO;
-    RO.Limits = Limits;
-    RO.ReadSeed = ReadSeeds[SeedIdx];
+    RO.Limits = Runs.Limits;
+    RO.ReadSeed = Runs.ReadSeeds[SeedIdx];
     Run = P.Runner->run(RO);
     keepTraceOnly(*Run);
-    // A derived program with every trace taken is only looked up again
-    // for those traces and its parse status: free its AST and code.
-    if (&P != Ref.get() &&
-        std::all_of(P.Runs.begin(), P.Runs.end(),
-                    [](const auto &R) { return R.has_value(); })) {
-      P.Runner.reset();
-      P.Parsed.Ctx.reset();
-      P.Parsed.Symbols = SymbolTable();
-    }
   }
   return *Run;
 }
 
-OracleResult OracleProgram::validate(const OracleOptions &Opts) {
-  // Complete propagation may fold, and a run that folded is analyzed
-  // again in place: analyzing it in place straight away saves the
-  // session run.
-  if (!parseError().empty() || Opts.Pipeline.CompletePropagation)
-    return check(nullptr, Opts);
-  PipelineOptions POpts = Opts.Pipeline;
-  POpts.EmitTransformedSource = true;
-  PipelineResult Run = runPipelineOnSession(session(), POpts);
-  return check(&Run, Opts);
+PipelineResult OracleProgram::analyze(const PipelineOptions &Pipeline) {
+  PipelineOptions PO = Pipeline;
+  PO.EmitTransformedSource = true;
+  if (!PO.UseMod) {
+    AnalysisSession Own(*Ref->Parsed.Ctx, Ref->Parsed.Symbols);
+    return runPipelineOnSession(Own, PO);
+  }
+  if (!Session)
+    Session = std::make_unique<AnalysisSession>(*Ref->Parsed.Ctx,
+                                                Ref->Parsed.Symbols);
+  return runPipelineOnSession(*Session, PO);
 }
 
 OracleResult OracleProgram::validate(const PipelineResult &Run,
-                                     const OracleOptions &Opts) {
-  return check(&Run, Opts);
+                                     const OracleChecks &Checks) {
+  return check(&Run, Checks);
+}
+
+OracleResult OracleProgram::validate(const OracleChecks &Checks) {
+  // Complete propagation may fold, and a run that folded is analyzed
+  // again in place: analyzing it in place straight away saves the
+  // session run.
+  if (!parseError().empty() || Checks.Pipeline.CompletePropagation)
+    return check(nullptr, Checks);
+  PipelineResult Run = analyze(Checks.Pipeline);
+  return check(&Run, Checks);
 }
 
 OracleResult OracleProgram::check(const PipelineResult *SessionRun,
-                                  const OracleOptions &Opts) {
+                                  const OracleChecks &Checks) {
   OracleResult R;
   FailureLog Failures;
+  // Validating analyzes on no session: free the shared one's caches
+  // before the runs below allocate their own.
+  Session.reset();
 
   // Step 0: the reference program, and the run whose claims replay.
   if (!parseError().empty()) {
@@ -338,7 +335,7 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
   std::optional<ProgramRunner> FoldedRunner;
   if (!SessionRun || SessionRun->FoldedBranches != 0) {
     Folded = parseChecked(Source);
-    PipelineOptions POpts = Opts.Pipeline;
+    PipelineOptions POpts = Checks.Pipeline;
     POpts.EmitTransformedSource = true;
     FoldedRun = runPipelineOnAst(*Folded.Ctx, Folded.Symbols, POpts);
     if (!FoldedRun.Ok) {
@@ -347,14 +344,14 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
     }
     P = &FoldedRun;
     Analyzed = &Folded;
-    FoldedRunner.emplace(Folded.Ctx->program(), Folded.Symbols, Engine);
+    FoldedRunner.emplace(Folded.Ctx->program(), Folded.Symbols, Runs.Engine);
   }
   // Step 2's claims and their replays: shared by every configuration
   // that makes the same claims on the reference program, private to one
   // that folded.
   auto Own = std::make_unique<ClaimSet>();
   Own->EntryClaims = resolveEntryClaims(*P, *Analyzed);
-  Own->Replays.resize(ReadSeeds.size());
+  Own->Replays.resize(Runs.ReadSeeds.size());
   ClaimSet *Claims = Own.get();
   if (!FoldedRunner) {
     auto Same = std::find_if(
@@ -373,19 +370,19 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
 
   // Steps 3 and 4 prep: the derived programs must reparse cleanly.
   Traced *Transformed = nullptr, *InlinedProg = nullptr, *Cloned = nullptr;
-  if (Opts.CheckTransformedSource) {
+  if (Checks.CheckTransformedSource) {
     Transformed = &derived(P->TransformedSource);
     if (!Transformed->Parsed.ok())
       Failures.add("transformed source does not reparse: " +
                    Transformed->Parsed.Error);
   }
-  if (Opts.CheckInliner) {
+  if (Checks.CheckInliner) {
     InlinedProg = &derived(inlined().Source);
     if (!InlinedProg->Parsed.ok())
       Failures.add("inlined program does not reparse: " +
                    InlinedProg->Parsed.Error);
   }
-  if (Opts.CheckCloning) {
+  if (Checks.CheckCloning) {
     CloneResult CR = cloneForConstants(Source);
     if (!CR.Ok) {
       Failures.add("cloning transform failed: " + CR.Error);
@@ -397,8 +394,8 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
     }
   }
 
-  for (size_t SeedIdx = 0; SeedIdx != ReadSeeds.size(); ++SeedIdx) {
-    uint64_t Seed = ReadSeeds[SeedIdx];
+  for (size_t SeedIdx = 0; SeedIdx != Runs.ReadSeeds.size(); ++SeedIdx) {
+    uint64_t Seed = Runs.ReadSeeds[SeedIdx];
     const RunResult &RefRun = trace(*Ref, SeedIdx);
     ++R.RunsExecuted;
 
@@ -420,7 +417,7 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
       std::optional<ClaimReplay> &Rep = Claims->Replays[SeedIdx];
       if (!Rep) {
         RunOptions RO;
-        RO.Limits = Limits;
+        RO.Limits = Runs.Limits;
         RO.ReadSeed = Seed;
         Rep = replayClaims(FoldedRunner ? *FoldedRunner : *Ref->Runner, RO,
                            Analyzed->Ctx->program(), Analyzed->Symbols,

@@ -36,14 +36,18 @@
 /// and its Sema, an AnalysisSession over that parse, the reference runner
 /// and its trace per READ seed, and the parse, runner and traces of every
 /// derived program (transformed, inlined and cloned sources), keyed by
-/// source text. A configuration that folded no branch analyzed the
-/// reference program itself (same ids), so step 2 replays its claims
-/// through a hooked run of the shared reference runner, once per
-/// distinct set of claims; one that folded is re-analyzed in place on a
-/// private parse, and its claims replay on that DCE'd program. A trace
-/// or replay served from the cache counts as the run it replaces, so
-/// every OracleResult — counters, Ok and Error — is the one a lone
-/// validateTranslation of that configuration reports.
+/// source text. OracleProgram::analyze decides which session a
+/// configuration runs on, so a caller validating many configurations
+/// analyzes each through it and hands the result to validate(Run, ...);
+/// OracleRuns fixes how every run executes once, at construction, and
+/// OracleChecks says what one validation checks. A configuration that
+/// folded no branch analyzed the reference program itself (same ids),
+/// so step 2 replays its claims through a hooked run of the shared
+/// reference runner, once per distinct set of claims; one that folded
+/// is re-analyzed in place on a private parse, and its claims replay on
+/// that DCE'd program. A trace or replay served from the cache counts as
+/// the run it replaces, so every OracleResult — counters, Ok and Error —
+/// is the one a lone validateTranslation of that configuration reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,10 +69,8 @@
 
 namespace ipcp {
 
-/// Parameters of one validation.
-struct OracleOptions {
-  /// The analyzer configuration under validation.
-  PipelineOptions Pipeline;
+/// How every run of a validation executes.
+struct OracleRuns {
   /// Resource bounds applied to every run.
   RunLimits Limits;
   /// Which engine executes the runs. The bytecode VM is the hot-path
@@ -78,6 +80,12 @@ struct OracleOptions {
   ExecEngine Engine = ExecEngine::Vm;
   /// READ streams to execute under; every check runs once per seed.
   std::vector<uint64_t> ReadSeeds = {1, 2};
+};
+
+/// What one validation checks.
+struct OracleChecks {
+  /// The analyzer configuration under validation.
+  PipelineOptions Pipeline;
   /// Validate the reparsed EmitTransformedSource output (step 3).
   bool CheckTransformedSource = true;
   /// Validate the procedure integrator's output (step 4).
@@ -86,6 +94,9 @@ struct OracleOptions {
   /// runs its own analyzer internally; this is the costliest check.
   bool CheckCloning = false;
 };
+
+/// Parameters of one validation.
+struct OracleOptions : OracleRuns, OracleChecks {};
 
 /// Outcome of one validation.
 struct OracleResult {
@@ -112,59 +123,55 @@ struct OracleResult {
 /// validation shares (see the file comment).
 class OracleProgram {
 public:
-  /// Parses and checks \p Source. \p Opts' Limits, Engine and ReadSeeds
-  /// fix the runs of every validation of this program; its other fields
-  /// are not read here.
-  OracleProgram(std::string_view Source, const OracleOptions &Opts);
+  /// Parses and checks \p Source; every validation of it runs under
+  /// \p Runs.
+  OracleProgram(std::string_view Source, const OracleRuns &Runs);
   ~OracleProgram();
   OracleProgram(const OracleProgram &) = delete;
   OracleProgram &operator=(const OracleProgram &) = delete;
 
   /// Empty when the source parsed and checked, else its diagnostics.
-  /// The accessors below require an empty parseError().
+  /// The members below require an empty parseError().
   const std::string &parseError() const;
-
-  /// The session over the reference parse, made on first use. Analyses
-  /// run on it with runPipelineOnSession never mutate the reference
-  /// program.
-  AnalysisSession &session();
-  /// Frees the session and everything it cached, once no more analyses
-  /// will run on it (validating a finished run needs none), and hands
-  /// the freed memory back to the OS where the allocator allows. A later
-  /// session() starts a cold one.
-  void releaseSession();
 
   /// The procedure integrator's output for the reference program, made
   /// on first use.
   const InlineResult &inlined();
 
-  /// Analyzes Opts.Pipeline and validates it. The analysis runs on
-  /// session(), or, under complete propagation (which may fold),
-  /// straight in place on a private parse.
-  OracleResult validate(const OracleOptions &Opts);
+  /// Analyzes the reference program under \p Pipeline, with
+  /// EmitTransformedSource set, ready for validate(Run, ...). MOD
+  /// configurations share one session, so each reuses what the others
+  /// cached; a no-MOD one, whose caches no other configuration reads,
+  /// runs on a throwaway session. The reference program is never
+  /// mutated. Validating frees the shared session, so analyze every
+  /// configuration first: one analyzed after a validation starts cold.
+  PipelineResult analyze(const PipelineOptions &Pipeline);
 
-  /// Validates \p Run, a runPipelineOnSession(session(), ...) result of
-  /// Opts.Pipeline with EmitTransformedSource set. \p Opts' Limits,
-  /// Engine and ReadSeeds must be the ones this program was built with.
-  OracleResult validate(const PipelineResult &Run, const OracleOptions &Opts);
+  /// Validates \p Run, an analyze(Checks.Pipeline) result. A run that
+  /// folded a branch is analyzed again, in place on a private parse,
+  /// and its claims replay on that DCE'd program.
+  OracleResult validate(const PipelineResult &Run, const OracleChecks &Checks);
+
+  /// Analyzes Checks.Pipeline and validates it. Under complete
+  /// propagation, which may fold, the analysis runs straight in place
+  /// on a private parse.
+  OracleResult validate(const OracleChecks &Checks);
 
 private:
   struct Traced;
   struct ClaimSet;
 
-  /// The cached parse and runner of a derived program.
+  /// The cached parse and traces of a derived program.
   Traced &derived(const std::string &Text);
   /// \p P's trace under the seed at \p SeedIdx, run on first use.
   const RunResult &trace(Traced &P, size_t SeedIdx);
   /// Validates \p SessionRun, or, when it is null or folded a branch, a
-  /// run of Opts.Pipeline in place on a private parse.
+  /// run of Checks.Pipeline in place on a private parse.
   OracleResult check(const PipelineResult *SessionRun,
-                     const OracleOptions &Opts);
+                     const OracleChecks &Checks);
 
   std::string Source;
-  RunLimits Limits;
-  ExecEngine Engine;
-  std::vector<uint64_t> ReadSeeds;
+  OracleRuns Runs;
   std::unique_ptr<Traced> Ref;
   std::unique_ptr<AnalysisSession> Session;
   std::optional<InlineResult> Inlined;

@@ -12,7 +12,6 @@
 #include "fuzz/Mutator.h"
 #include "fuzz/Reducer.h"
 #include "ipcp/AnalysisConfig.h"
-#include "ipcp/AnalysisSession.h"
 #include "ipcp/Cloning.h"
 #include "ipcp/Inliner.h"
 #include "support/FuzzFeedback.h"
@@ -105,16 +104,15 @@ bool constantsSubset(const PipelineResult &Weak,
 
 std::optional<FuzzFailure>
 ipcp::evaluateProgram(const std::string &Source, FuzzFeedback &FB,
-                      const FuzzOptions &Opts,
-                      std::vector<OracleResult> *OracleResults) {
+                      const FuzzOptions &Opts) {
   const std::vector<FuzzConfig> &Configs = fuzzConfigs();
   // One parse, one session and one reference run serve every check
   // below: each configuration is analyzed once, and that result feeds
   // both the cross-config checks and its oracle validation.
-  OracleOptions Shared;
-  Shared.Limits.MaxSteps = Opts.MaxSteps;
-  Shared.Engine = Opts.Engine;
-  OracleProgram Prog(Source, Shared);
+  OracleRuns Runs;
+  Runs.Limits.MaxSteps = Opts.MaxSteps;
+  Runs.Engine = Opts.Engine;
+  OracleProgram Prog(Source, Runs);
   if (!Prog.parseError().empty())
     return makeFailure("pipeline-error", Configs[0].Name, Prog.parseError(),
                        Source);
@@ -142,17 +140,7 @@ ipcp::evaluateProgram(const std::string &Source, FuzzFeedback &FB,
   for (const FuzzConfig &Cfg : Configs) {
     PipelineOptions PO = Cfg.Pipeline;
     PO.Feedback = &FB;
-    PO.EmitTransformedSource = true;
-    PipelineResult R;
-    if (PO.UseMod) {
-      R = runPipelineOnSession(Prog.session(), PO);
-    } else {
-      // No other configuration reads the no-MOD SSA, aliases or jump
-      // function base: a throwaway session keeps them from piling up on
-      // the shared one (they would raise the evaluation's peak memory).
-      AnalysisSession Own(Prog.session().ast(), Prog.session().symbols());
-      R = runPipelineOnSession(Own, PO);
-    }
+    PipelineResult R = Prog.analyze(PO);
     if (!R.Ok)
       return makeFailure("pipeline-error", Cfg.Name, R.Error, Source);
     Results.push_back(std::move(R));
@@ -206,17 +194,13 @@ ipcp::evaluateProgram(const std::string &Source, FuzzFeedback &FB,
        {SolverStrategy::RoundRobin, SolverStrategy::BindingGraph}) {
     PipelineOptions PO = Configs[0].Pipeline;
     PO.Strategy = S;
-    PipelineResult R = runPipelineOnSession(Prog.session(), PO);
+    PipelineResult R = Prog.analyze(PO);
     if (!R.Ok || !sameAnalysis(Results[0], R))
       return makeFailure(
           "strategy-disagreement",
           solverStrategyToken(S),
           R.Ok ? "results differ from worklist solver" : R.Error, Source);
   }
-  // Nothing below analyzes on the session: free its caches before the
-  // oracle allocates its own.
-  Prog.releaseSession();
-
   if (Opts.CheckTransforms) {
     // Feature-record the transforms' decisions and require their output
     // to stay analyzable; behavioral equivalence is the oracle's job.
@@ -236,12 +220,10 @@ ipcp::evaluateProgram(const std::string &Source, FuzzFeedback &FB,
   // Ground truth last (the expensive part): execution traces and claimed
   // constants must survive every configuration's transforms.
   for (size_t I = 0; I != Configs.size(); ++I) {
-    OracleOptions OO = Shared;
-    OO.Pipeline = Configs[I].Pipeline;
-    OO.CheckInliner = OO.CheckCloning = I == 0 && Opts.CheckTransforms;
-    OracleResult R = Prog.validate(Results[I], OO);
-    if (OracleResults)
-      OracleResults->push_back(R);
+    OracleChecks OC;
+    OC.Pipeline = Configs[I].Pipeline;
+    OC.CheckInliner = OC.CheckCloning = I == 0 && Opts.CheckTransforms;
+    OracleResult R = Prog.validate(Results[I], OC);
     if (!R.Ok)
       return makeFailure("oracle-mismatch", Configs[I].Name, R.Error,
                          Source);

@@ -44,7 +44,6 @@
 
 namespace ipcp {
 class FuzzFeedback;
-struct OracleResult;
 
 /// One analyzer configuration under test, with a stable display name.
 struct FuzzConfig {
@@ -131,26 +130,22 @@ struct FuzzResult {
 /// features into \p FB and running the cross-config checks and the
 /// oracle. Returns the first failure, or nullopt when all checks pass.
 /// This is the fuzzer's whole evaluation of one program; the corpus
-/// replay test calls it directly. When \p OracleResults is non-null, it
-/// receives each configuration's oracle result in config order, as far
-/// as the evaluation got.
+/// replay test calls it directly.
 ///
 /// The checks share one OracleProgram (exec/Oracle.h): one parse, one
 /// AnalysisSession and one reference run per READ seed. Each
-/// configuration is analyzed once, and that result feeds both the
-/// cross-config checks and its oracle validation; only a configuration
-/// that folded a branch is analyzed again, in place, for the oracle.
-/// The MOD configurations share the session; the no-MOD one, which
-/// shares none of its MOD-dependent caches, gets a throwaway session so
-/// they do not pile up. The solver strategies run last, on the warm
-/// session. Every check and its failure report are the ones separate
-/// cold runs would give, except the SolverMemoHits/SolverMemoMisses
-/// features: they count memo traffic on the session a configuration
-/// ran on, so hits carry over from one configuration to the next.
-std::optional<FuzzFailure>
-evaluateProgram(const std::string &Source, FuzzFeedback &FB,
-                const FuzzOptions &Opts,
-                std::vector<OracleResult> *OracleResults = nullptr);
+/// configuration is analyzed once, with OracleProgram::analyze, and that
+/// result feeds both the cross-config checks and its oracle validation;
+/// only a configuration that folded a branch is analyzed again, in
+/// place, for the oracle. The solver strategies run after the ten
+/// configurations, on the warm session. Every check and its failure
+/// report are the ones separate cold runs would give, except the
+/// SolverMemoHits/SolverMemoMisses features: they count memo traffic on
+/// the session a configuration ran on, so hits carry over from one
+/// configuration to the next.
+std::optional<FuzzFailure> evaluateProgram(const std::string &Source,
+                                           FuzzFeedback &FB,
+                                           const FuzzOptions &Opts);
 
 /// Runs one campaign.
 FuzzResult runFuzzer(const FuzzOptions &Opts);

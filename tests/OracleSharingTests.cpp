@@ -8,22 +8,22 @@
 // These tests pin that sharing to the plain answer. Over the 15 suite
 // programs, every tests/corpus/ entry, 100 random programs and a program
 // whose complete-propagation fold changes how far a step-limited loop
-// gets, each configuration's OracleResult from the shared evaluation
-// must equal a separate validateTranslation of that configuration, and
-// both must equal tests/golden/oracle_sharing.golden: the counters, the
-// outcome and a hash of the diagnostics, with the first failure
-// evaluateProgram reports (Kind/Config/Detail) per program. The snapshot
-// was recorded with the one-validation-per-configuration oracle that
-// OracleProgram replaced. Regenerate intentionally by running
-// ipcp_coverage_fuzz_tests with IPCP_REGEN_GOLDEN=1 and
-// --gtest_filter=OracleSharing.SeparateValidationsMatchSnapshot.
+// gets, each configuration's OracleResult from one OracleProgram driven
+// as evaluateProgram drives it must equal a separate validateTranslation
+// of that configuration, and the separate results must equal
+// tests/golden/oracle_sharing.golden: the counters, the outcome and a
+// hash of the diagnostics, with the first failure evaluateProgram
+// reports (Kind/Config/Detail) per program. The snapshot was recorded
+// with the one-validation-per-configuration oracle that OracleProgram
+// replaced. Regenerate intentionally by running ipcp_coverage_fuzz_tests
+// with IPCP_REGEN_GOLDEN=1 and
+// --gtest_filter=OracleSharing.SharedEvaluationMatchesSeparateValidations.
 //
 //===----------------------------------------------------------------------===//
 
 #include "exec/Oracle.h"
 #include "fuzz/Corpus.h"
 #include "fuzz/Fuzzer.h"
-#include "ipcp/AnalysisSession.h"
 #include "support/FuzzFeedback.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Suite.h"
@@ -105,6 +105,29 @@ OracleOptions configOptions(size_t I, const FuzzOptions &FO) {
   return OO;
 }
 
+/// Every configuration's OracleResult from one OracleProgram, driven as
+/// evaluateProgram drives it: all ten configurations and the two solver
+/// strategies are analyzed before the first validation.
+std::vector<OracleResult> sharedResults(const std::string &Source,
+                                        const FuzzOptions &FO) {
+  OracleProgram Prog(Source, configOptions(0, FO));
+  if (!Prog.parseError().empty())
+    return {};
+  std::vector<PipelineResult> Runs;
+  for (const FuzzConfig &Cfg : fuzzConfigs())
+    Runs.push_back(Prog.analyze(Cfg.Pipeline));
+  for (SolverStrategy S :
+       {SolverStrategy::RoundRobin, SolverStrategy::BindingGraph}) {
+    PipelineOptions PO = fuzzConfigs()[0].Pipeline;
+    PO.Strategy = S;
+    Prog.analyze(PO);
+  }
+  std::vector<OracleResult> Results;
+  for (size_t I = 0; I != Runs.size(); ++I)
+    Results.push_back(Prog.validate(Runs[I], configOptions(I, FO)));
+  return Results;
+}
+
 std::string hashText(const std::string &Text) {
   uint64_t H = 0xcbf29ce484222325ull; // FNV-1a
   for (unsigned char C : Text)
@@ -155,13 +178,18 @@ std::string readGolden() {
 
 } // namespace
 
-TEST(OracleSharing, SeparateValidationsMatchSnapshot) {
+TEST(OracleSharing, SharedEvaluationMatchesSeparateValidations) {
   FuzzOptions FO = evalOptions();
   std::string Got;
   for (const Candidate &C : candidates()) {
     std::vector<OracleResult> Separate;
     for (size_t I = 0; I != fuzzConfigs().size(); ++I)
       Separate.push_back(validateTranslation(C.Source, configOptions(I, FO)));
+    std::vector<OracleResult> Shared = sharedResults(C.Source, FO);
+    ASSERT_EQ(Shared.size(), Separate.size()) << C.Name;
+    for (size_t I = 0; I != Shared.size(); ++I)
+      EXPECT_EQ(render(Shared[I]), render(Separate[I]))
+          << C.Name << " under " << fuzzConfigs()[I].Name;
     FuzzFeedback FB;
     Got += renderCandidate(C, Separate, evaluateProgram(C.Source, FB, FO));
   }
@@ -174,26 +202,6 @@ TEST(OracleSharing, SeparateValidationsMatchSnapshot) {
   EXPECT_EQ(readGolden(), Got);
 }
 
-TEST(OracleSharing, SharedEvaluationMatchesSeparateValidations) {
-  FuzzOptions FO = evalOptions();
-  std::string Got;
-  for (const Candidate &C : candidates()) {
-    FuzzFeedback FB;
-    std::vector<OracleResult> Shared;
-    std::optional<FuzzFailure> Fail =
-        evaluateProgram(C.Source, FB, FO, &Shared);
-    if (!Fail) {
-      EXPECT_EQ(Shared.size(), fuzzConfigs().size()) << C.Name;
-    }
-    for (size_t I = 0; I != Shared.size(); ++I)
-      EXPECT_EQ(render(Shared[I]),
-                render(validateTranslation(C.Source, configOptions(I, FO))))
-          << C.Name << " under " << fuzzConfigs()[I].Name;
-    Got += renderCandidate(C, Shared, Fail);
-  }
-  EXPECT_EQ(readGolden(), Got);
-}
-
 namespace {
 
 const char *Small = "proc main()\n"
@@ -201,12 +209,6 @@ const char *Small = "proc main()\n"
                     "  x = 4\n"
                     "  print x\n"
                     "end\n";
-
-PipelineResult analyze(OracleProgram &Prog) {
-  PipelineOptions PO;
-  PO.EmitTransformedSource = true;
-  return runPipelineOnSession(Prog.session(), PO);
-}
 
 } // namespace
 
@@ -216,7 +218,7 @@ TEST(OracleSharing, DerivedTracesAreKeyedBySourceText) {
   OracleOptions Opts;
   OracleProgram Prog(Small, Opts);
   ASSERT_EQ(Prog.parseError(), "");
-  PipelineResult Run = analyze(Prog);
+  PipelineResult Run = Prog.analyze(PipelineOptions());
   ASSERT_TRUE(Run.Ok);
   EXPECT_TRUE(Prog.validate(Run, Opts).Ok);
 
@@ -233,7 +235,7 @@ TEST(OracleSharing, DerivedTracesAreKeyedBySourceText) {
 TEST(OracleSharing, ClaimReplaysAreKeyedByClaims) {
   OracleOptions Opts;
   OracleProgram Prog(Small, Opts);
-  PipelineResult Run = analyze(Prog);
+  PipelineResult Run = Prog.analyze(PipelineOptions());
   ASSERT_TRUE(Run.Ok);
   ASSERT_EQ(Run.Substitutions.size(), 1u);
   EXPECT_TRUE(Prog.validate(Run, Opts).Ok);
