@@ -292,8 +292,7 @@ private:
               return Stack.back()->Refs.at(Sym);
         return nullptr;
       };
-      Hooks->OnProcEntry(
-          Callee, std::function<const int64_t *(SymbolId)>(Lookup));
+      Hooks->OnProcEntry(Callee, Lookup);
     }
     execStmts(P.Body);
     Stack.pop_back();

@@ -32,6 +32,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -88,6 +89,29 @@ struct RunLimits {
   unsigned MaxCallDepth = 128;
 };
 
+/// The symbol lookup an OnProcEntry hook receives: a non-owning
+/// reference to the engine's lookup callable, so firing the hook on
+/// every procedure entry allocates nothing. It refers to a callable on
+/// the engine's stack and is valid only for the duration of the
+/// callback.
+class SymbolLookup {
+public:
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::decay_t<F>, SymbolLookup>>>
+  SymbolLookup(const F &Fn)
+      : Callable(&Fn), Invoke([](const void *C, SymbolId Sym) {
+          return (*static_cast<const F *>(C))(Sym);
+        }) {}
+
+  const int64_t *operator()(SymbolId Sym) const {
+    return Invoke(Callable, Sym);
+  }
+
+private:
+  const void *Callable;
+  const int64_t *(*Invoke)(const void *, SymbolId);
+};
+
 /// Observation hooks, all optional. Callbacks must not mutate the
 /// interpreter's state; the pointers handed out are valid only for the
 /// duration of the callback.
@@ -101,8 +125,7 @@ struct ExecHooks {
   /// Called on entry to every procedure (including main), after argument
   /// binding. The lookup resolves a formal of the entered procedure or a
   /// global scalar to its current cell, or null if the symbol is neither.
-  std::function<void(ProcId, const std::function<const int64_t *(SymbolId)> &)>
-      OnProcEntry;
+  std::function<void(ProcId, SymbolLookup)> OnProcEntry;
 };
 
 /// Parameters of one run.

@@ -139,65 +139,72 @@ EntryClaimList resolveEntryClaims(const PipelineResult &P,
   return Claims;
 }
 
-/// What one hooked run of the analyzed program observed: its trace and
-/// the checks of every claim it reached.
-struct ClaimReplay {
-  RunResult Run;
-  unsigned SubstitutedUseChecks = 0;
-  unsigned EntryConstantChecks = 0;
-  unsigned ConstantMismatches = 0;
-  /// Contradicted claims in order. Past the fourth they are only
-  /// counted: a FailureLog shows no more.
-  std::vector<std::string> Failures;
-  unsigned NumFailures = 0;
-
-  void fail(std::string What) {
-    if (NumFailures++ < 4)
-      Failures.push_back(std::move(What));
-  }
-};
-
 /// Runs \p Prog through \p Runner with hooks asserting that every
 /// substituted use carries exactly its claimed constant and that every
-/// CONSTANTS(p) entry holds on every observed entry to p.
-ClaimReplay
-replayClaims(const ProgramRunner &Runner, const RunOptions &RO,
-             const Program &Prog, const SymbolTable &Symbols,
-             const SubstitutionMap &Substitutions,
-             const EntryClaimList &EntryClaims) {
-  ClaimReplay Rep;
+/// CONSTANTS(p) entry holds on every observed entry to p, adding the
+/// checks to \p R and the contradicted claims, in execution order, to
+/// \p Failures. Returns the run's trace.
+RunResult replayClaims(const ProgramRunner &Runner, const RunOptions &RO,
+                       const Program &Prog, const SymbolTable &Symbols,
+                       const SubstitutionMap &Substitutions,
+                       const EntryClaimList &EntryClaims, OracleResult &R,
+                       FailureLog &Failures) {
   std::string SeedText = " (seed " + std::to_string(RO.ReadSeed) + ")";
   ExecHooks Hooks;
   Hooks.OnVarUse = [&](ExprId Id, int64_t Value) {
     auto It = Substitutions.find(Id);
     if (It == Substitutions.end())
       return;
-    ++Rep.SubstitutedUseChecks;
+    ++R.SubstitutedUseChecks;
     if (Value != It->second) {
-      ++Rep.ConstantMismatches;
-      Rep.fail("substituted use #" + std::to_string(Id) + SeedText +
-               ": claimed constant " + std::to_string(It->second) +
-               ", observed " + std::to_string(Value));
+      ++R.ConstantMismatches;
+      Failures.add("substituted use #" + std::to_string(Id) + SeedText +
+                   ": claimed constant " + std::to_string(It->second) +
+                   ", observed " + std::to_string(Value));
     }
   };
-  Hooks.OnProcEntry =
-      [&](ProcId Pid, const std::function<const int64_t *(SymbolId)> &Lookup) {
-        for (const auto &[Sym, Value] : EntryClaims[Pid]) {
-          const int64_t *Cell = Lookup(Sym);
-          if (!Cell)
-            continue;
-          ++Rep.EntryConstantChecks;
-          if (*Cell != Value) {
-            ++Rep.ConstantMismatches;
-            Rep.fail("CONSTANTS(" + Prog.Procs[Pid]->name() + ") entry " +
+  Hooks.OnProcEntry = [&](ProcId Pid, SymbolLookup Lookup) {
+    for (const auto &[Sym, Value] : EntryClaims[Pid]) {
+      const int64_t *Cell = Lookup(Sym);
+      if (!Cell)
+        continue;
+      ++R.EntryConstantChecks;
+      if (*Cell != Value) {
+        ++R.ConstantMismatches;
+        Failures.add("CONSTANTS(" + Prog.Procs[Pid]->name() + ") entry " +
                      Symbols.symbol(Sym).Name + "=" + std::to_string(Value) +
                      SeedText + ": observed " + std::to_string(*Cell) +
                      " on entry");
-          }
-        }
-      };
-  Rep.Run = Runner.run(RO, &Hooks);
-  return Rep;
+      }
+    }
+  };
+  return Runner.run(RO, &Hooks);
+}
+
+/// Adds to \p R the checks replayClaims would make on the run \p Obs
+/// observed, and returns true; or, when the observation contradicts a
+/// claim, adds nothing and returns false (only a replay reports which
+/// executions failed, in order).
+bool checkObservedClaims(const RunObservation &Obs,
+                         const SubstitutionMap &Substitutions,
+                         const EntryClaimList &EntryClaims, OracleResult &R) {
+  unsigned Uses = 0, Entries = 0;
+  for (const auto &[Id, Value] : Substitutions) {
+    const RunObservation::Seen &S = Obs.use(Id);
+    if (S.contradicts(Value))
+      return false;
+    Uses += S.Count;
+  }
+  for (size_t Pid = 0; Pid != EntryClaims.size(); ++Pid)
+    for (const auto &[Sym, Value] : EntryClaims[Pid]) {
+      const RunObservation::Seen &S = Obs.entry(ProcId(Pid), Sym);
+      if (S.contradicts(Value))
+        return false;
+      Entries += S.Count;
+    }
+  R.SubstitutedUseChecks += Uses;
+  R.EntryConstantChecks += Entries;
+  return true;
 }
 
 /// Drops the final state of \p R: the oracle compares traces only.
@@ -208,14 +215,55 @@ void keepTraceOnly(RunResult &R) {
 
 } // namespace
 
-/// One distinct set of claims, and its replay per READ seed.
-struct OracleProgram::ClaimSet {
-  /// Empty for a private set (its run's own map is replayed).
-  SubstitutionMap Substitutions;
-  EntryClaimList EntryClaims;
-  /// Indexed like ReadSeeds; filled on first use.
-  std::vector<std::optional<ClaimReplay>> Replays;
-};
+RunObservation::RunObservation(const AstContext &Ctx,
+                               const SymbolTable &Symbols)
+    : Symbols(Symbols), Uses(Ctx.numExprIds()),
+      GlobalIndex(Symbols.size(), -1), Entries(Ctx.program().Procs.size()) {
+  const std::vector<SymbolId> &Globals = Symbols.globalScalars();
+  for (size_t I = 0; I != Globals.size(); ++I)
+    GlobalIndex[Globals[I]] = int32_t(I);
+}
+
+ExecHooks RunObservation::hooks() {
+  ExecHooks Hooks;
+  Hooks.OnVarUse = [this](ExprId Id, int64_t Value) { Uses[Id].add(Value); };
+  Hooks.OnProcEntry = [this](ProcId P, SymbolLookup Lookup) {
+    enter(P, Lookup);
+  };
+  return Hooks;
+}
+
+void RunObservation::enter(ProcId P, SymbolLookup Lookup) {
+  const std::vector<SymbolId> &Formals = Symbols.formals(P);
+  const std::vector<SymbolId> &Globals = Symbols.globalScalars();
+  std::vector<Seen> &Slots = Entries[P];
+  Slots.resize(Formals.size() + Globals.size());
+  for (size_t I = 0; I != Formals.size(); ++I)
+    if (const int64_t *Cell = Lookup(Formals[I]))
+      Slots[I].add(*Cell);
+  for (size_t I = 0; I != Globals.size(); ++I)
+    if (const int64_t *Cell = Lookup(Globals[I]))
+      Slots[Formals.size() + I].add(*Cell);
+}
+
+const RunObservation::Seen &RunObservation::use(ExprId Id) const {
+  static const Seen Never;
+  return Id < Uses.size() ? Uses[Id] : Never;
+}
+
+const RunObservation::Seen &RunObservation::entry(ProcId P,
+                                                  SymbolId Sym) const {
+  static const Seen Never;
+  const std::vector<Seen> &Slots = Entries[P];
+  if (Slots.empty())
+    return Never;
+  const Symbol &S = Symbols.symbol(Sym);
+  if (S.Kind == SymbolKind::Formal && S.Owner == P)
+    return Slots[S.FormalIndex];
+  if (GlobalIndex[Sym] >= 0)
+    return Slots[Symbols.formals(P).size() + size_t(GlobalIndex[Sym])];
+  return Never;
+}
 
 /// A parsed program, its runner, and its trace per READ seed. A derived
 /// program keeps only its traces and its parse status (see derived()).
@@ -228,7 +276,8 @@ struct OracleProgram::Traced {
 };
 
 OracleProgram::OracleProgram(std::string_view Source, const OracleRuns &Runs)
-    : Source(Source), Runs(Runs), Ref(std::make_unique<Traced>()) {
+    : Source(Source), Runs(Runs), Ref(std::make_unique<Traced>()),
+      Observed(Runs.ReadSeeds.size()) {
   Ref->Parsed = parseChecked(Source);
 }
 
@@ -242,6 +291,12 @@ const InlineResult &OracleProgram::inlined() {
   if (!Inlined)
     Inlined = inlineProgram(*Ref->Parsed.Ctx, Ref->Parsed.Symbols);
   return *Inlined;
+}
+
+const CloneResult &OracleProgram::cloned() {
+  if (!Cloned)
+    Cloned = cloneForConstants(Source);
+  return *Cloned;
 }
 
 OracleProgram::Traced &OracleProgram::derived(const std::string &Text) {
@@ -263,7 +318,8 @@ OracleProgram::Traced &OracleProgram::derived(const std::string &Text) {
   return *Slot;
 }
 
-const RunResult &OracleProgram::trace(Traced &P, size_t SeedIdx) {
+const RunResult &OracleProgram::trace(Traced &P, size_t SeedIdx,
+                                     const ExecHooks *Hooks) {
   P.Traces.resize(Runs.ReadSeeds.size());
   std::optional<RunResult> &Run = P.Traces[SeedIdx];
   if (!Run) {
@@ -273,10 +329,19 @@ const RunResult &OracleProgram::trace(Traced &P, size_t SeedIdx) {
     RunOptions RO;
     RO.Limits = Runs.Limits;
     RO.ReadSeed = Runs.ReadSeeds[SeedIdx];
-    Run = P.Runner->run(RO);
+    Run = P.Runner->run(RO, Hooks);
     keepTraceOnly(*Run);
   }
   return *Run;
+}
+
+const RunResult &OracleProgram::reference(size_t SeedIdx) {
+  std::optional<RunObservation> &Obs = Observed[SeedIdx];
+  if (Obs)
+    return trace(*Ref, SeedIdx);
+  Obs.emplace(*Ref->Parsed.Ctx, Ref->Parsed.Symbols);
+  ExecHooks Hooks = Obs->hooks();
+  return trace(*Ref, SeedIdx, &Hooks);
 }
 
 PipelineResult OracleProgram::analyze(const PipelineOptions &Pipeline) {
@@ -315,7 +380,7 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
   // before the runs below allocate their own.
   Session.reset();
 
-  // Step 0: the reference program, and the run whose claims replay.
+  // Step 0: the reference program, and the run whose claims are checked.
   if (!parseError().empty()) {
     R.Error = "source does not parse: " + parseError();
     return R;
@@ -325,9 +390,9 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
     return R;
   }
   // A run that folded no branch analyzed the reference program, ids and
-  // all, so its claims replay on the shared reference runner. One that
-  // folded is analyzed again in place on a private parse, whose DCE'd
-  // program the claims then describe.
+  // all, so its claims are checked against the reference observation.
+  // One that folded is analyzed again in place on a private parse, whose
+  // DCE'd program the claims then describe and replay on.
   const PipelineResult *P = SessionRun;
   const CheckedProgram *Analyzed = &Ref->Parsed;
   CheckedProgram Folded;
@@ -346,30 +411,11 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
     Analyzed = &Folded;
     FoldedRunner.emplace(Folded.Ctx->program(), Folded.Symbols, Runs.Engine);
   }
-  // Step 2's claims and their replays: shared by every configuration
-  // that makes the same claims on the reference program, private to one
-  // that folded.
-  auto Own = std::make_unique<ClaimSet>();
-  Own->EntryClaims = resolveEntryClaims(*P, *Analyzed);
-  Own->Replays.resize(Runs.ReadSeeds.size());
-  ClaimSet *Claims = Own.get();
-  if (!FoldedRunner) {
-    auto Same = std::find_if(
-        ClaimSets.begin(), ClaimSets.end(),
-        [&](const std::unique_ptr<ClaimSet> &S) {
-          return S->Substitutions == P->Substitutions &&
-                 S->EntryClaims == Own->EntryClaims;
-        });
-    if (Same != ClaimSets.end()) {
-      Claims = Same->get();
-    } else {
-      Own->Substitutions = P->Substitutions;
-      ClaimSets.push_back(std::move(Own));
-    }
-  }
+  EntryClaimList EntryClaims = resolveEntryClaims(*P, *Analyzed);
 
   // Steps 3 and 4 prep: the derived programs must reparse cleanly.
-  Traced *Transformed = nullptr, *InlinedProg = nullptr, *Cloned = nullptr;
+  Traced *Transformed = nullptr, *InlinedProg = nullptr,
+         *ClonedProg = nullptr;
   if (Checks.CheckTransformedSource) {
     Transformed = &derived(P->TransformedSource);
     if (!Transformed->Parsed.ok())
@@ -383,20 +429,20 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
                    InlinedProg->Parsed.Error);
   }
   if (Checks.CheckCloning) {
-    CloneResult CR = cloneForConstants(Source);
+    const CloneResult &CR = cloned();
     if (!CR.Ok) {
       Failures.add("cloning transform failed: " + CR.Error);
     } else {
-      Cloned = &derived(CR.Source);
-      if (!Cloned->Parsed.ok())
+      ClonedProg = &derived(CR.Source);
+      if (!ClonedProg->Parsed.ok())
         Failures.add("cloned program does not reparse: " +
-                     Cloned->Parsed.Error);
+                     ClonedProg->Parsed.Error);
     }
   }
 
   for (size_t SeedIdx = 0; SeedIdx != Runs.ReadSeeds.size(); ++SeedIdx) {
     uint64_t Seed = Runs.ReadSeeds[SeedIdx];
-    const RunResult &RefRun = trace(*Ref, SeedIdx);
+    const RunResult &RefRun = reference(SeedIdx);
     ++R.RunsExecuted;
 
     auto compare = [&](const char *What, const RunResult &Got) {
@@ -411,26 +457,24 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
       }
     };
 
-    // Step 2: replay the analyzed program, checking every claim, unless
-    // another configuration already replayed the same claims.
+    // Step 2: check every claim against the analyzed program's run. On
+    // the reference program that run is the observed one, unless the
+    // observation contradicts a claim.
     {
-      std::optional<ClaimReplay> &Rep = Claims->Replays[SeedIdx];
-      if (!Rep) {
+      std::optional<RunResult> Replayed;
+      if (FoldedRunner ||
+          !checkObservedClaims(*Observed[SeedIdx], P->Substitutions,
+                               EntryClaims, R)) {
         RunOptions RO;
         RO.Limits = Runs.Limits;
         RO.ReadSeed = Seed;
-        Rep = replayClaims(FoldedRunner ? *FoldedRunner : *Ref->Runner, RO,
-                           Analyzed->Ctx->program(), Analyzed->Symbols,
-                           P->Substitutions, Claims->EntryClaims);
-        keepTraceOnly(Rep->Run);
+        Replayed = replayClaims(FoldedRunner ? *FoldedRunner : *Ref->Runner,
+                                RO, Analyzed->Ctx->program(),
+                                Analyzed->Symbols, P->Substitutions,
+                                EntryClaims, R, Failures);
       }
-      R.SubstitutedUseChecks += Rep->SubstitutedUseChecks;
-      R.EntryConstantChecks += Rep->EntryConstantChecks;
-      R.ConstantMismatches += Rep->ConstantMismatches;
-      for (unsigned I = 0; I != Rep->NumFailures; ++I)
-        Failures.add(I < Rep->Failures.size() ? Rep->Failures[I] : "");
       ++R.RunsExecuted;
-      compare("analyzed/DCE'd program trace", Rep->Run);
+      compare("analyzed/DCE'd program trace", Replayed ? *Replayed : RefRun);
     }
 
     // Steps 3 and 4: the textually substituted source, the inliner and
@@ -439,7 +483,7 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
          {std::pair<const char *, Traced *>{"transformed-source trace",
                                             Transformed},
           {"inlined program trace", InlinedProg},
-          {"cloned program trace", Cloned}}) {
+          {"cloned program trace", ClonedProg}}) {
       if (!Prog || !Prog->Parsed.ok())
         continue;
       const RunResult &Got = trace(*Prog, SeedIdx);

@@ -34,20 +34,28 @@
 /// configuration, so validating many configurations of one program (the
 /// fuzzer validates ten per candidate) does it once: the reference parse
 /// and its Sema, an AnalysisSession over that parse, the reference runner
-/// and its trace per READ seed, and the parse, runner and traces of every
-/// derived program (transformed, inlined and cloned sources), keyed by
-/// source text. OracleProgram::analyze decides which session a
-/// configuration runs on, so a caller validating many configurations
-/// analyzes each through it and hands the result to validate(Run, ...);
-/// OracleRuns fixes how every run executes once, at construction, and
-/// OracleChecks says what one validation checks. A configuration that
-/// folded no branch analyzed the reference program itself (same ids),
-/// so step 2 replays its claims through a hooked run of the shared
-/// reference runner, once per distinct set of claims; one that folded
-/// is re-analyzed in place on a private parse, and its claims replay on
-/// that DCE'd program. A trace or replay served from the cache counts as
-/// the run it replaces, so every OracleResult — counters, Ok and Error —
-/// is the one a lone validateTranslation of that configuration reports.
+/// and one observed reference run per READ seed, the cloning transform's
+/// output, and the parse, runner and traces of every derived program
+/// (transformed, inlined and cloned sources), keyed by source text.
+/// OracleProgram::analyze decides which session a configuration runs on,
+/// so a caller validating many configurations analyzes each through it
+/// and hands the result to validate(Run, ...); OracleRuns fixes how every
+/// run executes once, at construction, and OracleChecks says what one
+/// validation checks.
+///
+/// Step 1's run is hooked: it records a RunObservation (the first value,
+/// count and constancy of every substituted-use site and of every formal
+/// and global on every procedure entry), and its trace is the reference
+/// trace. A configuration that folded no branch analyzed the reference
+/// program itself (same ids), so step 2 needs no run of its own: its
+/// claims are checked against that observation in time linear in the
+/// number of claims. Only when the observation contradicts a claim is
+/// step 2's hooked run made for real, so the failures are reported in
+/// execution order. A configuration that folded is re-analyzed in place
+/// on a private parse, and its claims replay on that DCE'd program. An
+/// observation or trace served from the cache counts as the run it
+/// replaces, so every OracleResult (counters, Ok and Error) is the one a
+/// lone validateTranslation of that configuration reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,6 +64,7 @@
 
 #include "exec/ExecEngine.h"
 #include "exec/Interpreter.h"
+#include "ipcp/Cloning.h"
 #include "ipcp/Inliner.h"
 #include "ipcp/Pipeline.h"
 
@@ -119,6 +128,68 @@ struct OracleResult {
   unsigned ConstantMismatches = 0;
 };
 
+/// What one run showed at every point a claim can name: each scalar use
+/// that reports through ExecHooks::OnVarUse, and on every procedure entry
+/// each formal of the entered procedure and each global scalar. Per point
+/// it keeps the first value, how often the point ran and whether it ever
+/// showed another value, which is all a claim check needs: a claim of
+/// constant C at a point holds on every execution unless the point ran
+/// and either varied or first showed a value other than C.
+class RunObservation {
+public:
+  /// The values one point showed.
+  struct Seen {
+    int64_t First = 0;
+    /// How often the point ran (wrapping like OracleResult's counters).
+    unsigned Count = 0;
+    bool Any = false;
+    bool Varied = false;
+
+    void add(int64_t Value) {
+      if (!Any) {
+        Any = true;
+        First = Value;
+      } else if (Value != First) {
+        Varied = true;
+      }
+      ++Count;
+    }
+    /// True when some execution of the point showed a value other than
+    /// \p Claim.
+    bool contradicts(int64_t Claim) const {
+      return Any && (Varied || First != Claim);
+    }
+  };
+
+  /// An empty observation of a run of \p Ctx's program, which
+  /// \p Symbols checks; both must outlive it.
+  RunObservation(const AstContext &Ctx, const SymbolTable &Symbols);
+  RunObservation(const RunObservation &) = delete;
+  RunObservation &operator=(const RunObservation &) = delete;
+
+  /// Hooks that record into this observation, which must outlive them.
+  /// An entry records the symbols the engine's lookup resolves; one it
+  /// resolves to null is not counted.
+  ExecHooks hooks();
+
+  /// The values use \p Id showed.
+  const Seen &use(ExprId Id) const;
+  /// The values \p Sym, a formal of \p P or a global scalar, showed on
+  /// entries to \p P.
+  const Seen &entry(ProcId P, SymbolId Sym) const;
+
+private:
+  void enter(ProcId P, SymbolLookup Lookup);
+
+  const SymbolTable &Symbols;
+  std::vector<Seen> Uses;
+  /// Each global scalar's position in globalScalars(), or -1.
+  std::vector<int32_t> GlobalIndex;
+  /// Per procedure: its formals, then the global scalars. Empty until
+  /// the procedure is first entered.
+  std::vector<std::vector<Seen>> Entries;
+};
+
 /// One program under validation, with the work every configuration's
 /// validation shares (see the file comment).
 class OracleProgram {
@@ -137,6 +208,10 @@ public:
   /// The procedure integrator's output for the reference program, made
   /// on first use.
   const InlineResult &inlined();
+
+  /// The cloning transform's output for the source, at its default
+  /// bounds, made on first use. A CheckCloning validation checks it.
+  const CloneResult &cloned();
 
   /// Analyzes the reference program under \p Pipeline, with
   /// EmitTransformedSource set, ready for validate(Run, ...). MOD
@@ -159,12 +234,16 @@ public:
 
 private:
   struct Traced;
-  struct ClaimSet;
 
   /// The cached parse and traces of a derived program.
   Traced &derived(const std::string &Text);
-  /// \p P's trace under the seed at \p SeedIdx, run on first use.
-  const RunResult &trace(Traced &P, size_t SeedIdx);
+  /// \p P's trace under the seed at \p SeedIdx, run on first use
+  /// (under \p Hooks, when given).
+  const RunResult &trace(Traced &P, size_t SeedIdx,
+                         const ExecHooks *Hooks = nullptr);
+  /// The reference trace under the seed at \p SeedIdx; the run that
+  /// takes it records Observed[SeedIdx].
+  const RunResult &reference(size_t SeedIdx);
   /// Validates \p SessionRun, or, when it is null or folded a branch, a
   /// run of Checks.Pipeline in place on a private parse.
   OracleResult check(const PipelineResult *SessionRun,
@@ -174,9 +253,12 @@ private:
   OracleRuns Runs;
   std::unique_ptr<Traced> Ref;
   std::unique_ptr<AnalysisSession> Session;
+  /// Indexed like ReadSeeds; each is filled by the run that takes that
+  /// seed's reference trace.
+  std::vector<std::optional<RunObservation>> Observed;
   std::optional<InlineResult> Inlined;
+  std::optional<CloneResult> Cloned;
   std::map<std::string, std::unique_ptr<Traced>, std::less<>> Derived;
-  std::vector<std::unique_ptr<ClaimSet>> ClaimSets;
 };
 
 /// Validates \p Source under \p Opts: a one-configuration use of

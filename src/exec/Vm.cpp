@@ -179,7 +179,7 @@ RunResult Vm::run(const RunOptions &Opts, const ExecHooks *Hooks) const {
           return F.Refs[I];
       return nullptr;
     };
-    Hooks->OnProcEntry(P, std::function<const int64_t *(SymbolId)>(Lookup));
+    Hooks->OnProcEntry(P, Lookup);
   };
 
   // The entry "call": depth- and array-checked like every invoke(),

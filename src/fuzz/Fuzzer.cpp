@@ -119,20 +119,18 @@ ipcp::evaluateProgram(const std::string &Source, FuzzFeedback &FB,
   // The transforms' work runs first, while the heap is small: their
   // analyses allocate as the session's do, so the two reuse each other's
   // memory instead of stacking. Their features and checks still come
-  // after the strategy checks.
+  // after the strategy checks. The cloning transform runs once, at the
+  // oracle's bounds: its result gives the clone features and config 0's
+  // cloning check.
   std::optional<std::string> InlinerError;
-  std::optional<CloneResult> Cloned;
+  const CloneResult *Cloned = nullptr;
   if (Opts.CheckTransforms) {
     PipelineResult InlinedRun =
         runPipeline(Prog.inlined().Source, PipelineOptions());
-    if (!InlinedRun.Ok) {
+    if (!InlinedRun.Ok)
       InlinerError = InlinedRun.Error;
-    } else {
-      CloneOptions CO;
-      CO.MaxRounds = 2;
-      CO.MaxClones = 8;
-      Cloned = cloneForConstants(Source, CO);
-    }
+    else
+      Cloned = &Prog.cloned();
   }
 
   std::vector<PipelineResult> Results;

@@ -54,19 +54,31 @@ std::string configName(const PipelineOptions &Opts) {
   return Name;
 }
 
-/// Validates \p Source under every configuration. The inliner and
-/// cloning transforms are checked once per program (they do not depend
-/// on the analyzer configuration) rather than 16 times.
+/// Validates \p Source under every configuration, on one OracleProgram:
+/// one parse, session and reference run per READ seed serve all 16. The
+/// inliner and cloning transforms are checked once per program (they do
+/// not depend on the analyzer configuration) rather than 16 times.
 void validateAllConfigs(const std::string &Source) {
+  OracleRuns Runs;
+  Runs.Limits.MaxSteps = 50000;
+  OracleProgram Prog(Source, Runs);
+  std::vector<PipelineOptions> Configs = allConfigs();
+  // Every configuration is analyzed before the first validation frees
+  // the shared session.
+  std::vector<PipelineResult> Analyzed;
+  if (Prog.parseError().empty())
+    for (const PipelineOptions &Config : Configs)
+      Analyzed.push_back(Prog.analyze(Config));
   bool CheckTransforms = true;
-  for (const PipelineOptions &Config : allConfigs()) {
-    OracleOptions Opts;
-    Opts.Pipeline = Config;
-    Opts.Limits.MaxSteps = 50000;
-    Opts.CheckInliner = CheckTransforms;
-    Opts.CheckCloning = CheckTransforms;
+  for (size_t I = 0; I != Configs.size(); ++I) {
+    const PipelineOptions &Config = Configs[I];
+    OracleChecks Checks;
+    Checks.Pipeline = Config;
+    Checks.CheckInliner = CheckTransforms;
+    Checks.CheckCloning = CheckTransforms;
     CheckTransforms = false;
-    OracleResult R = validateTranslation(Source, Opts);
+    OracleResult R = Analyzed.empty() ? Prog.validate(Checks)
+                                      : Prog.validate(Analyzed[I], Checks);
     EXPECT_TRUE(R.Ok) << configName(Config) << ": " << R.Error;
     EXPECT_EQ(R.TraceDivergences, 0u) << configName(Config);
     EXPECT_EQ(R.ConstantMismatches, 0u) << configName(Config);

@@ -3,9 +3,10 @@
 // Part of the ipcp project (Grove & Torczon, PLDI 1993 reproduction).
 //
 // evaluateProgram validates all ten fuzz configurations of a candidate on
-// one OracleProgram: one parse, one session, one reference run per READ
-// seed, and cached traces of the derived programs and claim replays.
-// These tests pin that sharing to the plain answer. Over the 15 suite
+// one OracleProgram: one parse, one session, one observed reference run
+// per READ seed that every configuration's claims are checked against,
+// and cached traces of the derived programs. These tests pin that sharing
+// to the plain answer. Over the 15 suite
 // programs, every tests/corpus/ entry, 100 random programs and a program
 // whose complete-propagation fold changes how far a step-limited loop
 // gets, each configuration's OracleResult from one OracleProgram driven
@@ -13,7 +14,9 @@
 // of that configuration, and the separate results must equal
 // tests/golden/oracle_sharing.golden: the counters, the outcome and a
 // hash of the diagnostics, with the first failure evaluateProgram
-// reports (Kind/Config/Detail) per program. The snapshot was recorded
+// reports (Kind/Config/Detail) per program. The OracleObservation tests
+// pin the claim check against the observation to what a replay of the
+// claims reports, on contradicted, unreached and step-limited claims. The snapshot was recorded
 // with the one-validation-per-configuration oracle that OracleProgram
 // replaced. Regenerate intentionally by running ipcp_coverage_fuzz_tests
 // with IPCP_REGEN_GOLDEN=1 and
@@ -24,6 +27,7 @@
 #include "exec/Oracle.h"
 #include "fuzz/Corpus.h"
 #include "fuzz/Fuzzer.h"
+#include "lang/Parser.h"
 #include "support/FuzzFeedback.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Suite.h"
@@ -231,7 +235,8 @@ TEST(OracleSharing, DerivedTracesAreKeyedBySourceText) {
   EXPECT_EQ(render(R), render(Fresh.validate(Wrong, Opts)));
 }
 
-// Two runs whose claims differ must not share a claim replay.
+// Two runs whose claims differ must not share a claim check: each is
+// checked against the observation on its own.
 TEST(OracleSharing, ClaimReplaysAreKeyedByClaims) {
   OracleOptions Opts;
   OracleProgram Prog(Small, Opts);
@@ -247,4 +252,208 @@ TEST(OracleSharing, ClaimReplaysAreKeyedByClaims) {
   EXPECT_EQ(R.ConstantMismatches, Opts.ReadSeeds.size());
   OracleProgram Fresh(Small, Opts);
   EXPECT_EQ(render(R), render(Fresh.validate(Wrong, Opts)));
+}
+
+namespace {
+
+/// Every reporting scalar use of \p Source's run under \p Limits and
+/// READ seed \p Seed, as (id, value) in execution order.
+std::vector<std::pair<ExprId, int64_t>>
+observedUses(const std::string &Source, const RunLimits &Limits,
+             uint64_t Seed) {
+  DiagnosticEngine Diags;
+  auto Ctx = parseProgram(Source, Diags);
+  SymbolTable Symbols = Sema::run(*Ctx, Diags);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  std::vector<std::pair<ExprId, int64_t>> Uses;
+  ExecHooks Hooks;
+  Hooks.OnVarUse = [&](ExprId Id, int64_t V) { Uses.push_back({Id, V}); };
+  RunOptions RO;
+  RO.Limits = Limits;
+  RO.ReadSeed = Seed;
+  ProgramRunner(Ctx->program(), Symbols).run(RO, &Hooks);
+  return Uses;
+}
+
+} // namespace
+
+// A substituted use that first shows its claimed value and later another
+// is a mismatch, reported per execution in order, exactly as a replay of
+// the claim reports it.
+TEST(OracleObservation, UseThatVariesAfterItsClaimIsAMismatch) {
+  const std::string Source = "proc main()\n"
+                             "  integer i, x\n"
+                             "  do i = 1, 3\n"
+                             "    x = i * 2\n"
+                             "    print x\n"
+                             "  end do\n"
+                             "end\n";
+  OracleOptions Opts;
+  OracleProgram Prog(Source, Opts);
+  PipelineResult Run = Prog.analyze(PipelineOptions());
+  ASSERT_TRUE(Run.Ok);
+  // The first use to run is i in "x = i * 2": 1, then 2 and 3.
+  auto Uses = observedUses(Source, Opts.Limits, 1);
+  ASSERT_GE(Uses.size(), 1u);
+  ExprId Id = Uses[0].first;
+  ASSERT_EQ(Uses[0].second, 1);
+  PipelineResult Wrong = Run;
+  Wrong.Substitutions = {{Id, 1}};
+  OracleResult R = Prog.validate(Wrong, Opts);
+  std::string Use = "substituted use #" + std::to_string(Id);
+  EXPECT_EQ(R.Error, Use + " (seed 1): claimed constant 1, observed 2\n" +
+                         Use + " (seed 1): claimed constant 1, observed 3\n" +
+                         Use + " (seed 2): claimed constant 1, observed 2\n" +
+                         Use + " (seed 2): claimed constant 1, observed 3");
+  EXPECT_EQ(render(R), "ok=0 runs=6 cmp=4 uses=6 entries=0 div=0 mism=4 "
+                       "err=" + hashText(R.Error));
+  OracleProgram Fresh(Source, Opts);
+  EXPECT_EQ(render(R), render(Fresh.validate(Wrong, Opts)));
+}
+
+// The same for a CONSTANTS(p) entry claim: a formal bound to the claimed
+// value on the first entry and to another on the second.
+TEST(OracleObservation, EntryThatVariesAfterItsClaimIsAMismatch) {
+  const std::string Source = "proc f(a)\n"
+                             "  print a\n"
+                             "end\n"
+                             "proc main()\n"
+                             "  call f(1)\n"
+                             "  call f(2)\n"
+                             "end\n";
+  OracleOptions Opts;
+  OracleProgram Prog(Source, Opts);
+  PipelineResult Run = Prog.analyze(PipelineOptions());
+  ASSERT_TRUE(Run.Ok);
+  size_t F = 0;
+  while (F != Run.ProcNames.size() && Run.ProcNames[F] != "f")
+    ++F;
+  ASSERT_LT(F, Run.Constants.size());
+  ASSERT_TRUE(Run.Constants[F].empty());
+  PipelineResult Wrong = Run;
+  Wrong.Constants[F] = {{"a", 1}};
+  OracleResult R = Prog.validate(Wrong, Opts);
+  EXPECT_EQ(R.Error, "CONSTANTS(f) entry a=1 (seed 1): observed 2 on entry\n"
+                     "CONSTANTS(f) entry a=1 (seed 2): observed 2 on entry");
+  EXPECT_EQ(render(R), "ok=0 runs=6 cmp=4 uses=0 entries=4 div=0 mism=2 "
+                       "err=" + hashText(R.Error));
+  OracleProgram Fresh(Source, Opts);
+  EXPECT_EQ(render(R), render(Fresh.validate(Wrong, Opts)));
+}
+
+// A claimed use that never runs is checked zero times, whatever it
+// claims.
+TEST(OracleObservation, ClaimedUseThatNeverRunsCountsNoChecks) {
+  // READ values lie near zero, so the branch is never taken.
+  const std::string Source = "proc main()\n"
+                             "  integer x, y\n"
+                             "  y = 3\n"
+                             "  read x\n"
+                             "  if (x == 1000) then\n"
+                             "    print y\n"
+                             "  end if\n"
+                             "  print x\n"
+                             "end\n";
+  OracleOptions Opts;
+  OracleProgram Prog(Source, Opts);
+  PipelineResult Run = Prog.analyze(PipelineOptions());
+  ASSERT_TRUE(Run.Ok);
+  auto Uses = observedUses(Source, Opts.Limits, 1);
+  std::optional<ExprId> Dead;
+  for (const auto &[Id, Value] : Run.Substitutions) {
+    bool Ran = false;
+    for (const auto &U : Uses)
+      Ran |= U.first == Id;
+    if (!Ran)
+      Dead = Id;
+  }
+  ASSERT_TRUE(Dead.has_value()) << "print y in the untaken branch";
+  PipelineResult Wrong = Run;
+  Wrong.Substitutions = {{*Dead, 99}};
+  OracleResult R = Prog.validate(Wrong, Opts);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.SubstitutedUseChecks, 0u);
+  EXPECT_EQ(R.ConstantMismatches, 0u);
+}
+
+// Under a step limit that ends the run mid-loop, the observation counts
+// exactly the executions a replay counts, whether a claim holds (the
+// observation answers) or one is contradicted (a replay answers).
+TEST(OracleObservation, StepLimitedRunCountsLikeAReplay) {
+  const std::string Source = "proc main()\n"
+                             "  integer i, k\n"
+                             "  k = 7\n"
+                             "  do i = 1, 100000\n"
+                             "    print k + i\n"
+                             "  end do\n"
+                             "end\n";
+  OracleOptions Opts;
+  Opts.Limits.MaxSteps = 1001;
+  OracleProgram Prog(Source, Opts);
+  PipelineResult Run = Prog.analyze(PipelineOptions());
+  ASSERT_TRUE(Run.Ok);
+  ASSERT_EQ(Run.Substitutions.size(), 1u) << "k in the print";
+  ExprId K = Run.Substitutions.begin()->first;
+  // i is the other use the print runs.
+  std::optional<ExprId> I;
+  unsigned KRuns = 0, IRuns = 0;
+  for (uint64_t Seed : Opts.ReadSeeds)
+    for (const auto &[Id, Value] : observedUses(Source, Opts.Limits, Seed)) {
+      if (Id == K) {
+        ++KRuns;
+      } else {
+        I = Id;
+        ++IRuns;
+      }
+    }
+  ASSERT_TRUE(I.has_value());
+  ASSERT_GT(KRuns, 2u);
+
+  OracleResult Held = Prog.validate(Run, Opts);
+  EXPECT_TRUE(Held.Ok) << Held.Error;
+  EXPECT_EQ(Held.SubstitutedUseChecks, KRuns);
+
+  PipelineResult Wrong = Run;
+  Wrong.Substitutions[*I] = 1;
+  OracleResult Contradicted = Prog.validate(Wrong, Opts);
+  EXPECT_FALSE(Contradicted.Ok);
+  EXPECT_EQ(Contradicted.SubstitutedUseChecks, KRuns + IRuns);
+  EXPECT_EQ(Contradicted.ConstantMismatches, IRuns - Opts.ReadSeeds.size());
+}
+
+// An entry records only the symbols the engine's lookup resolves.
+TEST(OracleObservation, EntryCountsOnlyResolvedSymbols) {
+  DiagnosticEngine Diags;
+  auto Ctx = parseProgram("global g = 5\n"
+                          "proc f(a)\n"
+                          "  print a + g\n"
+                          "end\n"
+                          "proc main()\n"
+                          "  call f(4)\n"
+                          "end\n",
+                          Diags);
+  SymbolTable Symbols = Sema::run(*Ctx, Diags);
+  ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
+  ProcId F = *Ctx->program().findProc("f");
+  SymbolId A = Symbols.formals(F).at(0);
+  SymbolId G = Symbols.globalScalars().at(0);
+
+  RunObservation Obs(*Ctx, Symbols);
+  ExecHooks Hooks = Obs.hooks();
+  auto Unresolved = [](SymbolId) -> const int64_t * { return nullptr; };
+  Hooks.OnProcEntry(F, Unresolved);
+  EXPECT_EQ(Obs.entry(F, A).Count, 0u);
+  EXPECT_EQ(Obs.entry(F, G).Count, 0u);
+  EXPECT_FALSE(Obs.entry(F, A).contradicts(1));
+
+  const int64_t Four = 4, Five = 5;
+  auto Resolved = [&](SymbolId Sym) -> const int64_t * {
+    return Sym == A ? &Four : Sym == G ? &Five : nullptr;
+  };
+  Hooks.OnProcEntry(F, Resolved);
+  EXPECT_EQ(Obs.entry(F, A).Count, 1u);
+  EXPECT_EQ(Obs.entry(F, G).Count, 1u);
+  EXPECT_FALSE(Obs.entry(F, A).contradicts(4));
+  EXPECT_TRUE(Obs.entry(F, A).contradicts(3));
+  EXPECT_FALSE(Obs.entry(F, G).contradicts(5));
 }
