@@ -13,8 +13,8 @@
 /// PRINT trace, READ consumption, step accounting, trap kinds and
 /// locations, hook firing, and final global/array state. The check-vm
 /// differential test wall (tests/VmDifferentialTests.cpp) enforces the
-/// equivalence; bench/vm_throughput gates the speedup that justifies
-/// the second engine.
+/// equivalence; SpeedGate.VmOutrunsAstOnFuzzWorkload (check-bench) gates
+/// the speedup that justifies the second engine.
 ///
 /// Design notes. Values live on one preallocated operand stack sized by
 /// the compiler (statements never leave residue, so frames share it and

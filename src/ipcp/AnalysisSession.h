@@ -117,8 +117,8 @@
 namespace ipcp {
 
 /// Snapshot of a session's cache-effectiveness counters (plain values;
-/// the live counters are atomics). Feeds BENCH_suite.json and the cache
-/// tests.
+/// the live counters are atomics). Feeds the driver's `--time` batch
+/// report, perfbench's hit rates and the cache tests.
 struct SessionStats {
   uint64_t ProcsLowered = 0;   ///< buildFunction calls (initial + re-lowers).
   uint64_t ProcsRelowered = 0; ///< Subset rebuilt after an invalidate().

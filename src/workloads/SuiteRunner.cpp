@@ -182,9 +182,6 @@ SuiteRunResult ipcp::runSuite(const std::vector<WorkloadProgram> &Programs,
     Cell.Timings = R.Timings;
     Cell.SolverMemoHits = R.SolverMemoHits;
     Cell.SolverMemoMisses = R.SolverMemoMisses;
-    Cell.AliasPointsRefined = R.AliasPointsRefined;
-    Cell.GvnPhiMerges = R.GvnPhiMerges;
-    Cell.CopyLoadsResolved = R.CopyLoadsResolved;
 
     // Last cell out tears the program down, inside the parallel batch.
     if (Sharing == SuiteSharing::Shared &&

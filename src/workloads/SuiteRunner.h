@@ -10,8 +10,8 @@
 /// as one batch — fanning the independent (program × configuration)
 /// pipeline runs across a thread pool. Each cell writes only its own
 /// result slot, so the aggregated output is deterministic for any job
-/// count; the per-cell and batch wall-clock numbers feed the
-/// serial-vs-parallel speedup benches.
+/// count; the per-cell and batch wall-clock numbers feed the driver's
+/// `wall:` line and perfbench's `grid` workload.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,14 +69,6 @@ struct SuiteCell {
   /// like Timings, never part of determinism comparisons.
   uint64_t SolverMemoHits = 0;
   uint64_t SolverMemoMisses = 0;
-  /// Precision-tier deltas (zero under non-precision configs): alias
-  /// points the flow-sensitive analysis recovered and phi merges the
-  /// optimistic numbering won (see PipelineResult).
-  size_t AliasPointsRefined = 0;
-  size_t GvnPhiMerges = 0;
-  /// Copy-tier delta (zero without CopyPropagation): array loads the
-  /// copy lattice resolved program-wide (see PipelineResult).
-  size_t CopyLoadsResolved = 0;
 };
 
 /// The aggregated batch.
@@ -108,7 +100,7 @@ struct SuiteRunResult {
 /// How much analysis state the batch's cells share.
 enum class SuiteSharing : uint8_t {
   /// Every cell re-parses its program from source and analyzes it cold —
-  /// the baseline the incremental_speedup bench measures against.
+  /// the baseline the SpeedGate suite test measures Shared against.
   PerCell,
   /// One frontend pass and one AnalysisSession per program; the
   /// program's cells share the session's lowered IR, SSA, and

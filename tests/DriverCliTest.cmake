@@ -1,10 +1,11 @@
 # Driver CLI contract test, run via `cmake -P` (see tests/CMakeLists.txt).
 # Bad inputs must produce a diagnostic and a nonzero exit instead of
 # silently analyzing an empty program; --run/--validate must work; a
-# summary file must round-trip through --summary-out and --summary-in.
+# summary file must round-trip through --summary-out and --summary-in;
+# batch mode must print the golden suite x config table.
 
-if(NOT DEFINED DRIVER OR NOT DEFINED WORK_DIR)
-  message(FATAL_ERROR "DRIVER and WORK_DIR must be defined")
+if(NOT DEFINED DRIVER OR NOT DEFINED WORK_DIR OR NOT DEFINED GOLDEN_DIR)
+  message(FATAL_ERROR "DRIVER, WORK_DIR and GOLDEN_DIR must be defined")
 endif()
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -231,6 +232,29 @@ endif()
 # functions a summary could carry.
 expect_run(summary_in_complete nonzero "build no reusable jump functions"
            "--suite=mdg" "--complete" "--summary-in=${MDG_SUMMARY}")
+
+# Batch mode: the whole suite under every named configuration prints
+# the 195-cell table and its total; only the wall-clock line varies
+# between runs. Unknown config sets and the retired --sharing flag are
+# refused.
+expect_run(configs_all zero "" "--configs=all" "--jobs=2")
+string(REGEX REPLACE "\nwall: [^\n]*\n" "\n" BATCH_TABLE "${LAST_STDOUT}")
+file(READ "${GOLDEN_DIR}/driver_configs_all.golden" BATCH_GOLDEN)
+if(NOT BATCH_TABLE STREQUAL BATCH_GOLDEN)
+  set(FAILURES "${FAILURES}\nconfigs_all: table differs from driver_configs_all.golden:\n${LAST_STDOUT}")
+endif()
+if(NOT BATCH_TABLE MATCHES "total substituted: 22806\n")
+  set(FAILURES "${FAILURES}\nconfigs_all: total substituted is not 22806")
+endif()
+foreach(CASE "configs_bogus;unknown config set;--configs=bogus"
+             "sharing_retired;unknown option;--sharing=percell;--configs=all")
+  list(POP_FRONT CASE NAME EXPECT_ERR)
+  execute_process(COMMAND ${DRIVER} ${CASE}
+                  RESULT_VARIABLE RC OUTPUT_QUIET ERROR_VARIABLE ERR)
+  if(NOT RC EQUAL 1 OR NOT ERR MATCHES "${EXPECT_ERR}")
+    set(FAILURES "${FAILURES}\n${NAME}: rc=${RC}, stderr '${ERR}'")
+  endif()
+endforeach()
 
 if(NOT FAILURES STREQUAL "")
   message(FATAL_ERROR "driver CLI test failures:${FAILURES}")

@@ -53,8 +53,6 @@ static void printUsage() {
          "  --configs=<all|table2|table3>  batch: run the whole built-in\n"
          "                 suite under every named configuration\n"
          "  --jobs=<n>     batch workers for --configs (0 = all cores)\n"
-         "  --sharing=<shared|percell>  batch: share one frontend and\n"
-         "                 analysis session per program (default shared)\n"
          "  --dump-ir      print the lowered CFG of every procedure\n"
          "  --dump-ssa     print the SSA form of every procedure\n"
          "  --dump-jf      print every call site's jump functions\n"
@@ -133,7 +131,6 @@ int main(int argc, char **argv) {
   unsigned Jobs = 1;
   std::string ConfigSet;
   std::string ServerUrl;
-  SuiteSharing Sharing = SuiteSharing::Shared;
   std::string SummaryOut;
   std::string SummaryIn;
 
@@ -162,17 +159,6 @@ int main(int argc, char **argv) {
         return 1;
     } else if (Arg.rfind("--configs=", 0) == 0) {
       ConfigSet = Arg.substr(10);
-    } else if (Arg.rfind("--sharing=", 0) == 0) {
-      std::string Mode = Arg.substr(10);
-      if (Mode == "shared")
-        Sharing = SuiteSharing::Shared;
-      else if (Mode == "percell")
-        Sharing = SuiteSharing::PerCell;
-      else {
-        std::cerr << "error: --sharing expects shared or percell, got '"
-                  << Mode << "'\n";
-        return 1;
-      }
     } else if (Arg == "--dump-ir") {
       DumpIr = true;
     } else if (Arg == "--dump-ssa") {
@@ -235,7 +221,7 @@ int main(int argc, char **argv) {
     }
 
     SuiteRunResult Batch =
-        runSuite(extendedSuite(), Configs, Jobs, Opts.Threads, Sharing);
+        runSuite(extendedSuite(), Configs, Jobs, Opts.Threads);
 
     TablePrinter Table;
     std::vector<std::string> Header = {"Program"};
@@ -261,8 +247,7 @@ int main(int argc, char **argv) {
               << "\n";
     // Cell-time sum over wall measures overlap achieved, not true
     // speedup (cell times at jobs>1 include descheduled time); compare
-    // wall clocks across --jobs values for that — see
-    // bench/parallel_speedup.
+    // wall clocks across --jobs values for that.
     std::cout << std::fixed << std::setprecision(1) << "wall: "
               << Batch.WallMs << " ms, cell-time sum: " << Batch.CellMs
               << " ms, jobs: " << (Jobs ? Jobs : ThreadPool::hardwareThreads())
@@ -304,28 +289,23 @@ int main(int argc, char **argv) {
                     << "% of " << Total << ")";
         std::cout << "\n";
       }
-      if (Sharing == SuiteSharing::Shared) {
-        const SessionStats &S = Batch.Cache;
-        std::cout << "shared frontend: " << Batch.FrontendMs
-                  << " ms for " << Batch.NumPrograms << " programs\n"
-                  << "session caches: lowered " << S.ProcsLowered
-                  << " procs (" << S.ProcsRelowered
-                  << " re-lowered), ssa " << S.SsaBuilt << " built/"
-                  << S.SsaReused << " reused, vn " << S.VnBuilt
-                  << " built/" << S.VnReused << " reused, jf bases "
-                  << S.JfBasesBuilt << " built/" << S.JfBasesReused
-                  << " reused\n";
-        auto PrintMemo = [](const char *Name, uint64_t Hits,
-                            uint64_t Misses) {
-          uint64_t Total = Hits + Misses;
-          std::cout << Name << " memo: hit rate "
-                    << (Total ? 100.0 * double(Hits) / double(Total) : 0.0)
-                    << "% (" << Hits << " hits / " << Misses
-                    << " misses)\n";
-        };
-        PrintMemo("solver", S.SolverMemoHits, S.SolverMemoMisses);
-        PrintMemo("substitution", S.SubstMemoHits, S.SubstMemoMisses);
-      }
+      const SessionStats &S = Batch.Cache;
+      std::cout << "shared frontend: " << Batch.FrontendMs << " ms for "
+                << Batch.NumPrograms << " programs\n"
+                << "session caches: lowered " << S.ProcsLowered << " procs ("
+                << S.ProcsRelowered << " re-lowered), ssa " << S.SsaBuilt
+                << " built/" << S.SsaReused << " reused, vn " << S.VnBuilt
+                << " built/" << S.VnReused << " reused, jf bases "
+                << S.JfBasesBuilt << " built/" << S.JfBasesReused
+                << " reused\n";
+      auto PrintMemo = [](const char *Name, uint64_t Hits, uint64_t Misses) {
+        uint64_t Total = Hits + Misses;
+        std::cout << Name << " memo: hit rate "
+                  << (Total ? 100.0 * double(Hits) / double(Total) : 0.0)
+                  << "% (" << Hits << " hits / " << Misses << " misses)\n";
+      };
+      PrintMemo("solver", S.SolverMemoHits, S.SolverMemoMisses);
+      PrintMemo("substitution", S.SubstMemoHits, S.SubstMemoMisses);
       std::cout << std::defaultfloat;
     }
     return AllOk ? 0 : 1;
