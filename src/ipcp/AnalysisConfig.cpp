@@ -62,22 +62,26 @@ std::string alternatives(const EnumToken<E> (&Table)[N]) {
   return S;
 }
 
-JsonValue writeConfig(const PipelineOptions &O, bool JumpFunctionsOnly) {
+} // namespace
+
+const char *ipcp::solverStrategyToken(SolverStrategy S) {
+  return tokenOf(SolverStrategyTokens, S);
+}
+
+JsonValue ipcp::configJson(const PipelineOptions &O) {
   JsonValue Cfg = JsonValue::object();
   Cfg.set("jf", tokenOf(JumpFunctionKindTokens, O.Kind));
   for (const AnalysisFlag &F : AnalysisFlags) {
     bool V = O.*F.Field;
-    if ((F.JumpFunctions || !JumpFunctionsOnly) &&
-        (F.Policy == Wire::Always || V != defaultOf(F)))
+    if (F.Policy == Wire::Always || V != defaultOf(F))
       Cfg.set(F.Json, JsonValue(V));
   }
-  if (!JumpFunctionsOnly)
-    Cfg.set("strategy", tokenOf(SolverStrategyTokens, O.Strategy));
+  Cfg.set("strategy", tokenOf(SolverStrategyTokens, O.Strategy));
   return Cfg;
 }
 
-bool readConfig(const JsonValue &Cfg, bool JumpFunctionsOnly,
-                PipelineOptions &O, std::string &Error) {
+bool ipcp::parseConfigJson(const JsonValue &Cfg, PipelineOptions &O,
+                           std::string &Error) {
   if (!Cfg.isObject()) {
     Error = "'config' must be an object";
     return false;
@@ -91,7 +95,7 @@ bool readConfig(const JsonValue &Cfg, bool JumpFunctionsOnly,
       }
       continue;
     }
-    if (Key == "strategy" && !JumpFunctionsOnly) {
+    if (Key == "strategy") {
       if (!V.isString() ||
           !parseToken(SolverStrategyTokens, V.str(), O.Strategy)) {
         Error = "config.strategy must be " +
@@ -102,7 +106,7 @@ bool readConfig(const JsonValue &Cfg, bool JumpFunctionsOnly,
     }
     const AnalysisFlag *Flag = nullptr;
     for (const AnalysisFlag &F : AnalysisFlags)
-      if (Key == F.Json && (F.JumpFunctions || !JumpFunctionsOnly))
+      if (Key == F.Json)
         Flag = &F;
     if (!Flag) {
       Error = "unknown config field '" + Key + "'";
@@ -114,56 +118,6 @@ bool readConfig(const JsonValue &Cfg, bool JumpFunctionsOnly,
     }
     O.*Flag->Field = V.boolean();
   }
-  if (JumpFunctionsOnly) {
-    auto Require = [&](const char *Key) {
-      if (Cfg.find(Key))
-        return true;
-      Error = std::string("missing config field '") + Key + "'";
-      return false;
-    };
-    if (!Require("jf"))
-      return false;
-    for (const AnalysisFlag &F : AnalysisFlags)
-      if (F.JumpFunctions && F.Policy == Wire::Always && !Require(F.Json))
-        return false;
-  }
-  return true;
-}
-
-/// \p O widened to a PipelineOptions whose other fields are defaults, so
-/// the jump-function scope shares the table walk of the full one.
-PipelineOptions widen(const JumpFunctionOptions &O) {
-  PipelineOptions P;
-  static_cast<JumpFunctionOptions &>(P) = O;
-  return P;
-}
-
-} // namespace
-
-const char *ipcp::solverStrategyToken(SolverStrategy S) {
-  return tokenOf(SolverStrategyTokens, S);
-}
-
-JsonValue ipcp::configJson(const PipelineOptions &O) {
-  return writeConfig(O, /*JumpFunctionsOnly=*/false);
-}
-
-JsonValue ipcp::jumpFunctionConfigJson(const JumpFunctionOptions &O) {
-  return writeConfig(widen(O), /*JumpFunctionsOnly=*/true);
-}
-
-bool ipcp::parseConfigJson(const JsonValue &Cfg, PipelineOptions &O,
-                           std::string &Error) {
-  return readConfig(Cfg, /*JumpFunctionsOnly=*/false, O, Error);
-}
-
-bool ipcp::parseJumpFunctionConfigJson(const JsonValue &Cfg,
-                                       JumpFunctionOptions &O,
-                                       std::string &Error) {
-  PipelineOptions P;
-  if (!readConfig(Cfg, /*JumpFunctionsOnly=*/true, P, Error))
-    return false;
-  O = P;
   return true;
 }
 
@@ -188,7 +142,10 @@ std::string ipcp::configLabel(const PipelineOptions &O) {
 }
 
 unsigned ipcp::jumpFunctionFlagBits(const JumpFunctionOptions &O) {
-  PipelineOptions P = widen(O);
+  // Widened to a PipelineOptions (other fields default) so the table's
+  // member pointers apply.
+  PipelineOptions P;
+  static_cast<JumpFunctionOptions &>(P) = O;
   unsigned Bits = 0;
   for (const AnalysisFlag &F : AnalysisFlags)
     if (F.JumpFunctions)

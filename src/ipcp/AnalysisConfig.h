@@ -7,16 +7,13 @@
 /// \file
 /// Every external spelling of an analyzer configuration comes from the
 /// tables in this header: the driver's flags, the serve protocol's
-/// `config` object and cache key, the summary config block, the report
-/// header, and the analysis session's jump-function base key. Adding a boolean analysis flag is one AnalysisFlags row (plus
-/// the PipelineOptions field and the analysis code it gates); every codec
-/// below picks it up.
+/// `config` object and cache key, the report header, and the analysis
+/// session's jump-function base key. Adding a boolean analysis flag is
+/// one AnalysisFlags row (plus the PipelineOptions field and the
+/// analysis code it gates); every codec below picks it up.
 ///
-/// A JSON config object comes in two scopes. A serve request carries the
-/// whole configuration, every member optional (absent = default). A
-/// summary carries only what changes the jump functions built — the
-/// kind and the JumpFunctions rows — and there the kind and the
-/// Wire::Always rows are required.
+/// A JSON config object carries the whole configuration, every member
+/// optional on the way in (absent = default).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,10 +59,10 @@ const char *solverStrategyToken(SolverStrategy S);
 
 /// How a flag appears in a JSON config object.
 enum class Wire : uint8_t {
-  /// Always written; required in summary blocks.
+  /// Always written.
   Always,
   /// Written only when set off its default, so documents from before the
-  /// flag existed keep their exact bytes; optional everywhere.
+  /// flag existed keep their exact bytes.
   ElideDefault,
 };
 
@@ -82,8 +79,8 @@ struct AnalysisFlag {
   /// Driver usage text.
   const char *Help;
   Wire Policy;
-  /// Changes the jump functions built: carried in summaries, and part
-  /// of the session's jump-function base key.
+  /// Changes the jump functions built: part of the session's
+  /// jump-function base key.
   bool JumpFunctions;
   /// Report-header text when the flag is true / false.
   const char *LabelOn;
@@ -120,17 +117,12 @@ inline constexpr AnalysisFlag AnalysisFlags[] = {
 
 /// The serve request's `config` object: the whole configuration.
 JsonValue configJson(const PipelineOptions &O);
-/// The summary `config` object: the jump-function part.
-JsonValue jumpFunctionConfigJson(const JumpFunctionOptions &O);
 
-/// Strict decoders of the two scopes: unknown members, ill-typed values
-/// and (jump-function scope) missing required members fail with a
-/// diagnostic. Members absent from \p Cfg leave \p O's value (request
-/// scope) or take the default (jump-function scope).
+/// Strict decoder of a `config` object: unknown members and ill-typed
+/// values fail with a diagnostic. Members absent from \p Cfg leave
+/// \p O's value.
 bool parseConfigJson(const JsonValue &Cfg, PipelineOptions &O,
                      std::string &Error);
-bool parseJumpFunctionConfigJson(const JsonValue &Cfg, JumpFunctionOptions &O,
-                                 std::string &Error);
 
 /// The configuration half of the serve cache key, every field in table
 /// order: "jf=poly rjf=1 mod=1 ... intra=0 strategy=worklist".

@@ -60,8 +60,8 @@
 ///     jump function P's call-site kills consult, by kill position. A
 ///     missing one, an ambiguous binding and a run without return jump
 ///     functions all read as BOTTOM and add nothing. These are keyed by
-///     content, not by jump-function-base identity, because preloaded
-///     (summary) jump functions carry their own; a session build computes
+///     content, not by jump-function-base identity, so a session-less
+///     build keys exactly like a session one; a session build computes
 ///     them once per (base, procedure) (ReturnJfKeys).
 ///
 /// Nothing else reaches the SCCP, so a replayed count, constant-print

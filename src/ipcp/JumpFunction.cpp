@@ -7,67 +7,8 @@
 #include "ipcp/JumpFunction.h"
 
 #include <cassert>
-#include <charconv>
 
 using namespace ipcp;
-
-namespace {
-
-/// Nesting bound for fingerprint parsing. Generated fingerprints nest
-/// proportionally to source-expression depth, far below this; the bound
-/// exists so a hostile summary file cannot overflow the parser's stack.
-constexpr unsigned MaxFingerprintDepth = 200;
-
-/// Consumes "<int64>;" (std::to_string form, as appendFingerprint emits).
-bool consumeInt(std::string_view &T, int64_t &V, std::string &Error) {
-  auto [Ptr, Ec] = std::from_chars(T.data(), T.data() + T.size(), V);
-  if (Ec != std::errc()) {
-    Error = "bad integer in fingerprint";
-    return false;
-  }
-  T.remove_prefix(static_cast<size_t>(Ptr - T.data()));
-  if (T.empty() || T.front() != ';') {
-    Error = "missing ';' after integer in fingerprint";
-    return false;
-  }
-  T.remove_prefix(1);
-  return true;
-}
-
-/// Consumes an unsigned operator code (no sign, no delimiter).
-bool consumeOpCode(std::string_view &T, unsigned &V, std::string &Error) {
-  auto [Ptr, Ec] = std::from_chars(T.data(), T.data() + T.size(), V);
-  if (Ec != std::errc() || Ptr == T.data()) {
-    Error = "bad operator code in fingerprint";
-    return false;
-  }
-  T.remove_prefix(static_cast<size_t>(Ptr - T.data()));
-  return true;
-}
-
-bool expectChar(std::string_view &T, char C, std::string &Error) {
-  if (T.empty() || T.front() != C) {
-    Error = std::string("expected '") + C + "' in fingerprint";
-    return false;
-  }
-  T.remove_prefix(1);
-  return true;
-}
-
-/// Consumes "<symbol-id>;" with the SymbolId range check.
-bool consumeSymbol(std::string_view &T, SymbolId &Sym, std::string &Error) {
-  int64_t V = 0;
-  if (!consumeInt(T, V, Error))
-    return false;
-  if (V < 0 || V >= static_cast<int64_t>(InvalidSymbol)) {
-    Error = "symbol id out of range in fingerprint";
-    return false;
-  }
-  Sym = static_cast<SymbolId>(V);
-  return true;
-}
-
-} // namespace
 
 const char *ipcp::jumpFunctionKindName(JumpFunctionKind Kind) {
   switch (Kind) {
@@ -267,101 +208,6 @@ void JfExpr::appendFingerprint(std::string &Out) const {
   }
 }
 
-std::unique_ptr<JfExpr> JfExpr::parseFingerprint(std::string_view &Text,
-                                                std::string &Error) {
-  return parseFp(Text, Error, 0);
-}
-
-std::unique_ptr<JfExpr> JfExpr::parseFp(std::string_view &T,
-                                        std::string &Error, unsigned Depth) {
-  if (Depth > MaxFingerprintDepth) {
-    Error = "fingerprint expression nests too deep";
-    return nullptr;
-  }
-  if (T.empty()) {
-    Error = "truncated fingerprint expression";
-    return nullptr;
-  }
-  char Tag = T.front();
-  T.remove_prefix(1);
-  auto Out = std::make_unique<JfExpr>();
-  switch (Tag) {
-  case 'c':
-    Out->Kind = Node::Const;
-    if (!consumeInt(T, Out->ConstValue, Error))
-      return nullptr;
-    return Out;
-  case 'p':
-    Out->Kind = Node::Param;
-    if (!consumeSymbol(T, Out->Param, Error))
-      return nullptr;
-    return Out;
-  case 'k':
-    Out->Kind = Node::Copy;
-    if (!consumeSymbol(T, Out->Param, Error))
-      return nullptr;
-    return Out;
-  case 'u': {
-    unsigned Op = 0;
-    if (!consumeOpCode(T, Op, Error))
-      return nullptr;
-    if (Op > static_cast<unsigned>(UnaryOp::LogicalNot)) {
-      Error = "unary operator code out of range in fingerprint";
-      return nullptr;
-    }
-    Out->Kind = Node::Unary;
-    Out->UOp = static_cast<UnaryOp>(Op);
-    if (!expectChar(T, '(', Error))
-      return nullptr;
-    if (!(Out->Lhs = parseFp(T, Error, Depth + 1)))
-      return nullptr;
-    if (!expectChar(T, ')', Error))
-      return nullptr;
-    return Out;
-  }
-  case 'b': {
-    unsigned Op = 0;
-    if (!consumeOpCode(T, Op, Error))
-      return nullptr;
-    if (Op > static_cast<unsigned>(BinaryOp::LogicalOr)) {
-      Error = "binary operator code out of range in fingerprint";
-      return nullptr;
-    }
-    Out->Kind = Node::Binary;
-    Out->BOp = static_cast<BinaryOp>(Op);
-    if (!expectChar(T, '(', Error))
-      return nullptr;
-    if (!(Out->Lhs = parseFp(T, Error, Depth + 1)))
-      return nullptr;
-    if (!(Out->Rhs = parseFp(T, Error, Depth + 1)))
-      return nullptr;
-    if (!expectChar(T, ')', Error))
-      return nullptr;
-    return Out;
-  }
-  case 'g':
-    Out->Kind = Node::Gamma;
-    if (!expectChar(T, '(', Error))
-      return nullptr;
-    if (!(Out->Cond = parseFp(T, Error, Depth + 1)))
-      return nullptr;
-    if (!(Out->Lhs = parseFp(T, Error, Depth + 1)))
-      return nullptr;
-    if (!(Out->Rhs = parseFp(T, Error, Depth + 1)))
-      return nullptr;
-    if (!expectChar(T, ')', Error))
-      return nullptr;
-    return Out;
-  case '?':
-    Out->Kind = Node::Unknown;
-    return Out;
-  default:
-    Error = std::string("unknown expression node tag '") + Tag +
-            "' in fingerprint";
-    return nullptr;
-  }
-}
-
 std::string JfExpr::str(const SymbolTable &Symbols) const {
   switch (Kind) {
   case Node::Const:
@@ -507,59 +353,6 @@ void JumpFunction::appendFingerprint(std::string &Out) const {
     Expr->appendFingerprint(Out);
     return;
   }
-}
-
-bool JumpFunction::parseFingerprint(std::string_view Text, JumpFunction &Out,
-                                    std::string &Error) {
-  std::string_view T = Text;
-  if (T.empty()) {
-    Error = "empty jump-function fingerprint";
-    return false;
-  }
-  char Tag = T.front();
-  T.remove_prefix(1);
-  JumpFunction Parsed;
-  switch (Tag) {
-  case 'B':
-    break;
-  case 'C': {
-    int64_t V = 0;
-    if (!consumeInt(T, V, Error))
-      return false;
-    Parsed = constant(V);
-    break;
-  }
-  case 'P': {
-    SymbolId Sym = InvalidSymbol;
-    if (!consumeSymbol(T, Sym, Error))
-      return false;
-    Parsed = passThrough(Sym);
-    break;
-  }
-  case 'K': {
-    SymbolId Sym = InvalidSymbol;
-    if (!consumeSymbol(T, Sym, Error))
-      return false;
-    Parsed = copyOf(Sym);
-    break;
-  }
-  case 'Y': {
-    auto E = JfExpr::parseFingerprint(T, Error);
-    if (!E)
-      return false;
-    Parsed = polynomial(std::move(E));
-    break;
-  }
-  default:
-    Error = std::string("unknown jump-function form tag '") + Tag + "'";
-    return false;
-  }
-  if (!T.empty()) {
-    Error = "trailing bytes after jump-function fingerprint";
-    return false;
-  }
-  Out = std::move(Parsed);
-  return true;
 }
 
 std::string JumpFunction::str(const SymbolTable &Symbols) const {

@@ -32,7 +32,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace ipcp {
@@ -59,7 +58,7 @@ public:
   /// marks a gamma arm whose value is unknowable — selecting it yields
   /// BOTTOM. Copy is the copy-lattice leaf (ipcp/CopyLattice.h): the
   /// entry value of one caller parameter recovered from an array cell —
-  /// evaluated exactly like Param, serialized distinctly.
+  /// evaluated exactly like Param, fingerprinted distinctly.
   enum class Node : uint8_t {
     Const,
     Param,
@@ -96,22 +95,10 @@ public:
   /// environment.
   void appendFingerprint(std::string &Out) const;
 
-  /// Reverses appendFingerprint: parses one expression from the front of
-  /// \p Text, consuming exactly the bytes that printed it. Returns null
-  /// with a diagnostic in \p Error on malformed input — unknown node
-  /// tags, out-of-range operators, truncation, or nesting past a fixed
-  /// depth bound. Summary files cross process boundaries, so this parser
-  /// is as defensive as serve/Json's.
-  static std::unique_ptr<JfExpr> parseFingerprint(std::string_view &Text,
-                                                  std::string &Error);
-
   /// Renders with symbol names.
   std::string str(const SymbolTable &Symbols) const;
 
 private:
-  static std::unique_ptr<JfExpr> parseFp(std::string_view &Text,
-                                         std::string &Error, unsigned Depth);
-
   Node Kind = Node::Const;
   int64_t ConstValue = 0;
   SymbolId Param = InvalidSymbol;
@@ -145,7 +132,7 @@ public:
   static JumpFunction polynomial(std::unique_ptr<JfExpr> Expr);
   /// Form::Copy: evaluates like passThrough(Sym) but carries the
   /// copy-lattice provenance (fingerprint token `K<sym>;`), so classic
-  /// and copy-recovered facts never collide in memo keys or summaries.
+  /// and copy-recovered facts never collide in memo keys.
   static JumpFunction copyOf(SymbolId Sym);
 
   /// Builds the strongest jump function of kind \p Kind for a value whose
@@ -180,16 +167,6 @@ public:
   /// across call sites, procedures, and configurations whose functions
   /// coincide.
   void appendFingerprint(std::string &Out) const;
-
-  /// Reverses appendFingerprint: rebuilds a jump function from the exact
-  /// bytes it prints (the summary files' on-disk encoding — SummaryIO.h).
-  /// All of \p Text must be consumed. The rebuilt function re-derives its
-  /// support through the normal factories, so a successful parse is
-  /// structurally indistinguishable from the original: re-appending its
-  /// fingerprint reproduces \p Text byte-for-byte. Returns false with a
-  /// diagnostic on any malformation; \p Out is untouched then.
-  static bool parseFingerprint(std::string_view Text, JumpFunction &Out,
-                               std::string &Error);
 
   /// Renders for dumps: "7", "passthrough(n)", "poly(n + 1)", "_|_".
   std::string str(const SymbolTable &Symbols) const;

@@ -157,8 +157,8 @@ public:
   JumpFunctionStats Stats;
 
   /// Set by session builds: the key cache of the jump-function base
-  /// ReturnJfs was copied from. Null for session-less and preloaded
-  /// (summary) jump functions, whose keys are computed per run.
+  /// ReturnJfs was copied from. Null for session-less builds, whose keys
+  /// are computed per run.
   ReturnJfKeys *RjfKeys = nullptr;
 
   /// The return jump function of \p Callee for callee-side symbol
@@ -222,8 +222,8 @@ ProgramJumpFunctions buildJumpFunctions(const Module &M,
 /// analysis itself uses taken from the session's caches: MOD/REF (when
 /// Opts.UseMod), the by-reference alias facts, and the flow-alias and
 /// copy facts when their flags are set. Every caller that wants "the jump
-/// functions this configuration analyzes with" — the pipeline, summary
-/// export, --dump-jf — goes through here.
+/// functions this configuration analyzes with" — the pipeline and
+/// --dump-jf — goes through here.
 ProgramJumpFunctions buildJumpFunctions(AnalysisSession &Session,
                                         const JumpFunctionOptions &Opts,
                                         ThreadPool *Pool = nullptr);

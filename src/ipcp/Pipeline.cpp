@@ -75,22 +75,12 @@ enum class FoldTarget {
 };
 
 PipelineResult runRounds(AnalysisSession &Session, const PipelineOptions &Opts,
-                         const ProgramJumpFunctions *PreloadedJfs,
                          FoldTarget Target) {
   PipelineResult Result;
   const SymbolTable &Symbols = Session.symbols();
   const Program &Prog = Session.ast().program();
   if (!Prog.entryProc()) {
     Result.Error = "program has no 'main' procedure";
-    return Result;
-  }
-  if (PreloadedJfs && (Opts.CompletePropagation || Opts.IntraproceduralOnly)) {
-    Result.Error = Opts.CompletePropagation
-                       ? "preloaded jump functions cannot drive complete "
-                         "propagation (its rounds rebuild them from a "
-                         "mutated program)"
-                       : "intraprocedural-only propagation uses no jump "
-                         "functions to preload";
     return Result;
   }
 
@@ -176,19 +166,14 @@ PipelineResult runRounds(AnalysisSession &Session, const PipelineOptions &Opts,
     Result.Timings.LowerMs += lapMs(Phase);
 
     ProgramJumpFunctions Jfs;
-    const ProgramJumpFunctions *ActiveJfs = &Jfs;
     SolveResult Solve;
     bool UseRjfInSccp = false;
     if (!Opts.IntraproceduralOnly) {
-      if (PreloadedJfs) {
-        ActiveJfs = PreloadedJfs;
-      } else {
-        Jfs = buildJumpFunctions(*Active, Opts, Pool);
-      }
+      Jfs = buildJumpFunctions(*Active, Opts, Pool);
       Result.Timings.JumpFunctionsMs += lapMs(Phase);
       if (isCancelled(Opts.Cancel))
         return Abandon();
-      Solve = solveConstants(Symbols, CG, *ActiveJfs, Opts.Strategy,
+      Solve = solveConstants(Symbols, CG, Jfs, Opts.Strategy,
                              Opts.Feedback, Opts.Cancel,
                              &Active->solverMemo());
       Result.Timings.SolveMs += lapMs(Phase);
@@ -201,7 +186,7 @@ PipelineResult runRounds(AnalysisSession &Session, const PipelineOptions &Opts,
 
     SubstitutionResult Subs = countSubstitutions(
         M, Symbols, CG, Opts.IntraproceduralOnly ? nullptr : &Solve, MRI,
-        UseRjfInSccp ? ActiveJfs : nullptr, &Aliases, Pool, Active,
+        UseRjfInSccp ? &Jfs : nullptr, &Aliases, Pool, Active,
         FlowAliases, CopyFacts);
     Result.Timings.SubstituteMs += lapMs(Phase);
 
@@ -243,9 +228,9 @@ PipelineResult runRounds(AnalysisSession &Session, const PipelineOptions &Opts,
     Result.SubstitutedConstants = Subs.Total;
     Result.ConstantPrints = Subs.ConstantPrints;
     Result.PerProcSubstituted = Subs.PerProc;
-    Result.JfStats = ActiveJfs->Stats;
-    Result.GvnPhiMerges = ActiveJfs->Stats.NumGvnPhiMerges;
-    Result.CopyForwardJfs = ActiveJfs->Stats.NumForwardCopy;
+    Result.JfStats = Jfs.Stats;
+    Result.GvnPhiMerges = Jfs.Stats.NumGvnPhiMerges;
+    Result.CopyForwardJfs = Jfs.Stats.NumForwardCopy;
     Result.SolverProcVisits = Solve.ProcVisits;
     Result.SolverJfEvaluations = Solve.JfEvaluations;
     Result.SolverCellLowerings = Solve.CellLowerings;
@@ -289,21 +274,14 @@ PipelineResult runRounds(AnalysisSession &Session, const PipelineOptions &Opts,
 
 PipelineResult ipcp::runPipelineOnSession(AnalysisSession &Session,
                                           const PipelineOptions &Opts) {
-  return runRounds(Session, Opts, nullptr, FoldTarget::PrivateClone);
-}
-
-PipelineResult
-ipcp::runPipelineOnSession(AnalysisSession &Session,
-                           const PipelineOptions &Opts,
-                           const ProgramJumpFunctions *PreloadedJfs) {
-  return runRounds(Session, Opts, PreloadedJfs, FoldTarget::PrivateClone);
+  return runRounds(Session, Opts, FoldTarget::PrivateClone);
 }
 
 PipelineResult ipcp::runPipelineOnAst(AstContext &Ctx,
                                       const SymbolTable &Symbols,
                                       const PipelineOptions &Opts) {
   AnalysisSession Session(Ctx, Symbols);
-  return runRounds(Session, Opts, nullptr, FoldTarget::InPlace);
+  return runRounds(Session, Opts, FoldTarget::InPlace);
 }
 
 PipelineResult ipcp::runPipeline(std::string_view Source,

@@ -210,19 +210,6 @@ PipelineResult runPipelineOnAst(AstContext &Ctx, const SymbolTable &Symbols,
 PipelineResult runPipelineOnSession(AnalysisSession &Session,
                                     const PipelineOptions &Opts);
 
-/// Like runPipelineOnSession, but stage 2 comes from \p PreloadedJfs —
-/// typically a reconstituted summary (ipcp/SummaryIO.h) — instead of
-/// being built; solve, substitution, and reporting are identical, so the
-/// result is byte-identical to a local run whose builder produced the
-/// same jump functions. The preloaded functions must match Opts' jump
-/// function configuration (the summary loader checks that) and the AST
-/// they were built from. Fails with a diagnostic under
-/// CompletePropagation (its DCE rounds rebuild jump functions from a
-/// mutated AST) and IntraproceduralOnly (no jump functions at all).
-PipelineResult runPipelineOnSession(AnalysisSession &Session,
-                                    const PipelineOptions &Opts,
-                                    const ProgramJumpFunctions *PreloadedJfs);
-
 } // namespace ipcp
 
 #endif // IPCP_IPCP_PIPELINE_H

@@ -37,6 +37,12 @@ void Server::countError(ServeErrorKind Kind) {
                                                     std::memory_order_relaxed);
 }
 
+std::string Server::malformed(const std::string &Message) {
+  Lines.fetch_add(1, std::memory_order_relaxed);
+  countError(ServeErrorKind::Malformed);
+  return makeErrorReply("", ServeErrorKind::Malformed, Message);
+}
+
 void Server::submit(std::string Line, std::function<void(std::string)> Done) {
   Lines.fetch_add(1, std::memory_order_relaxed);
 

@@ -82,6 +82,11 @@ public:
   /// transport answers each connection's lines with it.
   std::string handle(const std::string &Line);
 
+  /// The `malformed` reply to a line a transport refused without
+  /// handing it over (an over-long one), counted like any other
+  /// malformed line.
+  std::string malformed(const std::string &Message);
+
   /// Begins draining (idempotent) and blocks until every admitted
   /// request has been answered. New compute requests are rejected with
   /// `shutting-down` from the moment drain begins.

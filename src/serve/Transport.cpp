@@ -21,14 +21,56 @@
 
 using namespace ipcp;
 
+namespace {
+
+const std::string OverlongMessage =
+    "request line exceeds " + std::to_string(MaxRequestLineBytes) + " bytes";
+
+/// Reads the next line of \p In (newline stripped) into \p Line. Returns
+/// false at end of input with nothing read. A line over
+/// MaxRequestLineBytes is consumed through its newline but not kept:
+/// \p Overlong is set and \p Line is empty.
+bool readBoundedLine(std::istream &In, std::string &Line, bool &Overlong) {
+  Line.clear();
+  Overlong = false;
+  std::streambuf *Buf = In.rdbuf();
+  for (;;) {
+    int C = Buf->sbumpc();
+    if (C == std::char_traits<char>::eof())
+      return !Line.empty() || Overlong;
+    if (C == '\n')
+      return true;
+    if (Overlong)
+      continue;
+    if (Line.size() == MaxRequestLineBytes) {
+      Overlong = true;
+      std::string().swap(Line);
+      continue;
+    }
+    Line.push_back(static_cast<char>(C));
+  }
+}
+
+} // namespace
+
 void ipcp::serveStream(Server &S, std::istream &In, std::ostream &Out) {
   std::mutex WriteMutex; // Replies land from worker threads; serialize.
   std::mutex DoneMutex;
   std::condition_variable DoneCv;
   size_t Outstanding = 0;
+  auto Write = [&](const std::string &Reply) {
+    std::lock_guard<std::mutex> Lock(WriteMutex);
+    Out << Reply << '\n';
+    Out.flush();
+  };
 
   std::string Line;
-  while (std::getline(In, Line)) {
+  bool Overlong = false;
+  while (readBoundedLine(In, Line, Overlong)) {
+    if (Overlong) {
+      Write(S.malformed(OverlongMessage));
+      continue;
+    }
     if (Line.empty())
       continue;
     {
@@ -36,11 +78,7 @@ void ipcp::serveStream(Server &S, std::istream &In, std::ostream &Out) {
       ++Outstanding;
     }
     S.submit(Line, [&](std::string Reply) {
-      {
-        std::lock_guard<std::mutex> Lock(WriteMutex);
-        Out << Reply << '\n';
-        Out.flush();
-      }
+      Write(Reply);
       std::lock_guard<std::mutex> Lock(DoneMutex);
       --Outstanding;
       DoneCv.notify_all();
@@ -79,10 +117,18 @@ void sendAll(int Fd, const std::string &Data) {
 /// server interleaves them. The listener owns and closes \p Fd.
 void serveConnection(int Fd, Server &S) {
   std::string Buffer;
+  size_t Scanned = 0;    // Buffer[0, Scanned) holds no newline.
+  bool Overlong = false; // Buffer is the tail of an over-long line.
   char Chunk[4096];
   for (;;) {
     size_t Nl;
-    while ((Nl = Buffer.find('\n')) == std::string::npos) {
+    while ((Nl = Buffer.find('\n', Scanned)) == std::string::npos) {
+      Scanned = Buffer.size();
+      if (Scanned > MaxRequestLineBytes) {
+        Overlong = true;
+        Buffer.clear();
+        Scanned = 0;
+      }
       ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
       if (N <= 0)
         return;
@@ -90,8 +136,14 @@ void serveConnection(int Fd, Server &S) {
     }
     std::string Line = Buffer.substr(0, Nl);
     Buffer.erase(0, Nl + 1);
+    Scanned = 0;
     if (!Line.empty() && Line.back() == '\r')
       Line.pop_back();
+    if (Overlong || Line.size() > MaxRequestLineBytes) {
+      Overlong = false;
+      sendAll(Fd, S.malformed(OverlongMessage) + "\n");
+      continue;
+    }
     if (Line.empty())
       continue;
     sendAll(Fd, S.handle(Line) + "\n");

@@ -26,12 +26,18 @@
 /// reply. The listener binds 127.0.0.1 only — this is a local analysis
 /// daemon, not a network service.
 ///
+/// Both transports bound a request line at MaxRequestLineBytes. A longer
+/// line is answered with one `malformed` reply and skipped through its
+/// newline without being buffered; the stream or connection then keeps
+/// serving.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPCP_SERVE_TRANSPORT_H
 #define IPCP_SERVE_TRANSPORT_H
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <list>
@@ -42,10 +48,15 @@ namespace ipcp {
 
 class Server;
 
+/// The longest request line either transport accepts, in bytes, not
+/// counting the newline.
+inline constexpr size_t MaxRequestLineBytes = size_t(16) << 20;
+
 /// Pumps request lines from \p In into \p S and reply lines to \p Out
 /// (one per line, flushed). Returns at EOF or when a shutdown request
 /// begins draining; every reply for a submitted request has been
-/// written by the time it returns. Blank lines are ignored.
+/// written by the time it returns. Blank lines are ignored, and a line
+/// over MaxRequestLineBytes gets a `malformed` reply.
 void serveStream(Server &S, std::istream &In, std::ostream &Out);
 
 /// A loopback TCP acceptor serving one connection per thread.

@@ -139,7 +139,7 @@ std::string substitutionFingerprint(const SubstitutionResult &R) {
 /// The first-round substitution pass of \p Opts over \p W's session,
 /// three ways: through the session's memo with the base's cached
 /// return-JF keys, through the memo with keys computed from content (as
-/// for preloaded summary jump functions), and session-less from scratch.
+/// for session-less jump functions), and session-less from scratch.
 /// All three must agree on every field, and the content-keyed lookup
 /// must hit for every procedure the first one recorded.
 void expectMemoReplayEqualsFresh(WarmProgram &W, const PipelineOptions &Opts,

@@ -3,8 +3,8 @@
 // Part of the ipcp project (Grove & Torczon, PLDI 1993 reproduction).
 //
 // Pins every external spelling of an analyzer configuration: the serve
-// request's `config` object, the serve cache key, the summary config
-// block, the report header line, and the driver flags.
+// request's `config` object, the serve cache key, the report header
+// line, and the driver flags.
 // The configurations are the suite's (Table 2 + Table 3), the fuzzer's,
 // the default, and each flag set alone. The driver spelling is checked
 // end to end: the real binary, given those flags, must print the header
@@ -16,7 +16,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Fuzzer.h"
-#include "ipcp/SummaryIO.h"
 #include "serve/Json.h"
 #include "serve/Protocol.h"
 #include "serve/Render.h"
@@ -93,20 +92,6 @@ std::vector<NamedConfig> wireConfigs() {
   for (const FuzzConfig &C : fuzzConfigs())
     Out.push_back({"fuzz/" + C.Name, C.Pipeline});
   return Out;
-}
-
-/// The jump-function half of \p O, spelled out field by field so this
-/// oracle stays independent of how the code derives it.
-JumpFunctionOptions jfOptionsOf(const PipelineOptions &O) {
-  JumpFunctionOptions J;
-  J.Kind = O.Kind;
-  J.UseReturnJumpFunctions = O.UseReturnJumpFunctions;
-  J.UseMod = O.UseMod;
-  J.UseGatedSsa = O.UseGatedSsa;
-  J.FlowSensitiveAlias = O.FlowSensitiveAlias;
-  J.OptimisticVn = O.OptimisticVn;
-  J.CopyPropagation = O.CopyPropagation;
-  return J;
 }
 
 /// The driver flags that select \p O, written out by hand (the
@@ -187,19 +172,6 @@ std::string requestConfig(const PipelineOptions &O) {
   return Params ? configMember(*Params) : std::string("<missing>");
 }
 
-std::string summaryConfig(const PipelineOptions &O) {
-  ProgramSummary S;
-  S.Program = "p";
-  S.Options = jfOptionsOf(O);
-  std::string Text = serializeSummary(S);
-
-  ProgramSummary Back;
-  std::string Error;
-  EXPECT_TRUE(parseSummary(Text, Back, Error)) << Error;
-  EXPECT_EQ(Text, serializeSummary(Back));
-  return configMember(parseOrFail(Text));
-}
-
 std::string headerLine(const PipelineOptions &O) {
   std::string Report =
       renderAnalysisReport(O, PipelineResult(), ReportOptions());
@@ -213,7 +185,6 @@ std::string renderWire() {
        << "cli: " << cliOf(C.Opts) << "\n"
        << "request: " << requestConfig(C.Opts) << "\n"
        << "key: " << configKey(C.Opts, ReportOptions()) << "\n"
-       << "summary: " << summaryConfig(C.Opts) << "\n"
        << "header: " << headerLine(C.Opts) << "\n";
   }
   return OS.str();

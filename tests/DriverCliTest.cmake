@@ -1,8 +1,8 @@
 # Driver CLI contract test, run via `cmake -P` (see tests/CMakeLists.txt).
 # Bad inputs must produce a diagnostic and a nonzero exit instead of
-# silently analyzing an empty program; --run/--validate must work; a
-# summary file must round-trip through --summary-out and --summary-in;
-# batch mode must print the golden suite x config table.
+# silently analyzing an empty program; --run/--validate must work;
+# retired flags are unknown options; batch mode must print the golden
+# suite x config table.
 
 if(NOT DEFINED DRIVER OR NOT DEFINED WORK_DIR OR NOT DEFINED GOLDEN_DIR)
   message(FATAL_ERROR "DRIVER, WORK_DIR and GOLDEN_DIR must be defined")
@@ -208,35 +208,10 @@ foreach(EXTRA "" "--fsa")
   endif()
 endforeach()
 
-# A summary written by --summary-out loads back through --summary-in:
-# the --stats report is the one a plain run prints, and loading it under
-# another jump-function configuration is refused with exit code 1.
-set(MDG_SUMMARY "${WORK_DIR}/mdg.summary.json")
-file(REMOVE "${MDG_SUMMARY}")
-expect_run(summary_out zero "wrote summary" "--suite=mdg"
-           "--summary-out=${MDG_SUMMARY}")
-expect_run(summary_plain zero "" "--suite=mdg" "--stats")
-set(PLAIN_STATS "${LAST_STDOUT}")
-expect_run(summary_in zero "" "--suite=mdg" "--stats"
-           "--summary-in=${MDG_SUMMARY}")
-if(NOT LAST_STDOUT STREQUAL PLAIN_STATS)
-  set(FAILURES "${FAILURES}\nsummary_in: report differs from the plain run:\n${LAST_STDOUT}")
-endif()
-execute_process(COMMAND ${DRIVER} --suite=mdg --jf=pass
-                        "--summary-in=${MDG_SUMMARY}"
-                RESULT_VARIABLE RC OUTPUT_QUIET ERROR_VARIABLE ERR)
-if(NOT RC EQUAL 1 OR NOT ERR MATCHES "different jump-function configuration")
-  set(FAILURES "${FAILURES}\nsummary_in_other_config: rc=${RC}, stderr '${ERR}'")
-endif()
-# Complete propagation and intraprocedural-only runs build no jump
-# functions a summary could carry.
-expect_run(summary_in_complete nonzero "build no reusable jump functions"
-           "--suite=mdg" "--complete" "--summary-in=${MDG_SUMMARY}")
-
 # Batch mode: the whole suite under every named configuration prints
 # the 195-cell table and its total; only the wall-clock line varies
-# between runs. Unknown config sets and the retired --sharing flag are
-# refused.
+# between runs. Unknown config sets and the retired --sharing,
+# --summary-out and --summary-in flags are refused.
 expect_run(configs_all zero "" "--configs=all" "--jobs=2")
 string(REGEX REPLACE "\nwall: [^\n]*\n" "\n" BATCH_TABLE "${LAST_STDOUT}")
 file(READ "${GOLDEN_DIR}/driver_configs_all.golden" BATCH_GOLDEN)
@@ -247,7 +222,9 @@ if(NOT BATCH_TABLE MATCHES "total substituted: 22806\n")
   set(FAILURES "${FAILURES}\nconfigs_all: total substituted is not 22806")
 endif()
 foreach(CASE "configs_bogus;unknown config set;--configs=bogus"
-             "sharing_retired;unknown option;--sharing=percell;--configs=all")
+             "sharing_retired;unknown option;--sharing=percell;--configs=all"
+             "summary_out_retired;unknown option;--summary-out=${WORK_DIR}/s.json;--suite=mdg"
+             "summary_in_retired;unknown option;--summary-in=${WORK_DIR}/s.json;--suite=mdg")
   list(POP_FRONT CASE NAME EXPECT_ERR)
   execute_process(COMMAND ${DRIVER} ${CASE}
                   RESULT_VARIABLE RC OUTPUT_QUIET ERROR_VARIABLE ERR)

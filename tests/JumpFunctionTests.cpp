@@ -6,9 +6,16 @@
 
 #include "ipcp/JumpFunction.h"
 
+#include "ipcp/AnalysisSession.h"
+#include "ipcp/JumpFunctionBuilder.h"
+#include "workloads/RandomProgram.h"
+#include "workloads/Suite.h"
+
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace ipcp;
 using namespace ipcp::test;
@@ -220,4 +227,165 @@ TEST(JumpFunctionKindNames, MatchThePaper) {
                "pass-through");
   EXPECT_STREQ(jumpFunctionKindName(JumpFunctionKind::Polynomial),
                "polynomial");
+}
+
+//===----------------------------------------------------------------------===//
+// appendFingerprint(): the value-context memo's grouping key, which must
+// be an exact encoding — equal bytes, equal function.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The distinct jump-function configurations the suite columns exercise,
+/// plus the gated-SSA build (gamma nodes), the precision tier
+/// (flow-sensitive aliasing, optimistic numbering), and the copy tier
+/// (Copy forms).
+std::vector<JumpFunctionOptions> allJfOptions() {
+  std::vector<JumpFunctionOptions> Out;
+  auto Add = [&](JumpFunctionKind K, bool Rjf, bool Mod, bool Gsa) {
+    JumpFunctionOptions O;
+    O.Kind = K;
+    O.UseReturnJumpFunctions = Rjf;
+    O.UseMod = Mod;
+    O.UseGatedSsa = Gsa;
+    Out.push_back(O);
+  };
+  Add(JumpFunctionKind::Polynomial, true, true, false);
+  Add(JumpFunctionKind::PassThrough, true, true, false);
+  Add(JumpFunctionKind::IntraConst, true, true, false);
+  Add(JumpFunctionKind::Literal, true, true, false);
+  Add(JumpFunctionKind::Polynomial, false, true, false);
+  Add(JumpFunctionKind::PassThrough, false, true, false);
+  Add(JumpFunctionKind::Polynomial, true, false, false);
+  Add(JumpFunctionKind::Polynomial, true, true, true);
+  JumpFunctionOptions Fsa;
+  Fsa.FlowSensitiveAlias = true;
+  Out.push_back(Fsa);
+  JumpFunctionOptions Ogvn;
+  Ogvn.OptimisticVn = true;
+  Out.push_back(Ogvn);
+  JumpFunctionOptions Copy;
+  Copy.CopyPropagation = true;
+  Out.push_back(Copy);
+  return Out;
+}
+
+std::string fingerprint(const JumpFunction &J) {
+  std::string Fp;
+  J.appendFingerprint(Fp);
+  return Fp;
+}
+
+/// \p J's value under a few fixed environments: distinct constants of
+/// both signs, zeros (division by zero), and BOTTOM and TOP inputs.
+std::vector<LatticeValue> evalUnderFixedEnvs(const JumpFunction &J) {
+  const std::function<LatticeValue(SymbolId)> Envs[] = {
+      [](SymbolId S) { return LatticeValue::constant(S + 1); },
+      [](SymbolId S) {
+        return LatticeValue::constant(3 - 2 * static_cast<int64_t>(S));
+      },
+      [](SymbolId) { return LatticeValue::constant(0); },
+      [](SymbolId S) {
+        return S % 2 ? LatticeValue::bottom() : LatticeValue::constant(S);
+      },
+      [](SymbolId S) {
+        return S % 3 ? LatticeValue::constant(7) : LatticeValue::top();
+      },
+  };
+  std::vector<LatticeValue> Out;
+  for (const auto &Env : Envs)
+    Out.push_back(J.eval(Env));
+  return Out;
+}
+
+} // namespace
+
+TEST(JumpFunction, FingerprintIsAnExactEncoding) {
+  // Every jump function of every suite program, and of seeded random
+  // programs (the suite has few polynomial ones), under every builder
+  // configuration, grouped by fingerprint: a group must render as one
+  // function within its program, and evaluate as one everywhere (the
+  // environments are keyed by symbol id, as fingerprints are).
+  std::vector<WorkloadProgram> Programs = extendedSuite();
+  for (uint64_t Seed = 1; Seed <= 30; ++Seed) {
+    RandomSpec Spec;
+    Spec.Seed = Seed;
+    WorkloadProgram &W = Programs.emplace_back();
+    W.Name = "random" + std::to_string(Seed);
+    W.Source = generateRandomProgram(Spec);
+  }
+  size_t Checked = 0;
+  std::map<std::string, std::vector<LatticeValue>> ValuesOf;
+  for (const WorkloadProgram &W : Programs) {
+    auto Ctx = parseOk(W.Source);
+    DiagnosticEngine Diags;
+    SymbolTable Symbols = Sema::run(*Ctx, Diags);
+    ASSERT_FALSE(Diags.hasErrors()) << W.Name << ": " << Diags.str();
+    AnalysisSession Session(*Ctx, Symbols);
+    std::map<std::string, std::string> RenderingOf;
+    auto Check = [&](const JumpFunction &J) {
+      std::string Fp = fingerprint(J);
+      std::string Str = J.str(Symbols);
+      EXPECT_EQ(RenderingOf.try_emplace(Fp, Str).first->second, Str)
+          << W.Name << ": " << Fp;
+      std::vector<LatticeValue> Values = evalUnderFixedEnvs(J);
+      EXPECT_TRUE(ValuesOf.try_emplace(Fp, Values).first->second == Values)
+          << W.Name << ": " << Fp << " = " << Str;
+      ++Checked;
+    };
+    for (const JumpFunctionOptions &Opts : allJfOptions()) {
+      ProgramJumpFunctions Jfs = buildJumpFunctions(Session, Opts);
+      for (const auto &Sites : Jfs.PerSite)
+        for (const CallSiteJumpFunctions &Site : Sites) {
+          for (const JumpFunction &J : Site.Args)
+            Check(J);
+          for (const JumpFunction &J : Site.Globals)
+            Check(J);
+        }
+      for (const auto &Returns : Jfs.ReturnJfs)
+        for (const auto &[Sym, J] : Returns)
+          Check(J);
+    }
+  }
+  EXPECT_GT(Checked, 1000u);
+
+  // Pairs that differ in exactly one thing, built by hand so coverage
+  // does not depend on what the suite programs happen to generate.
+  VnContext Ctx;
+  const VnExpr *P1 = Ctx.getParam(1), *P2 = Ctx.getParam(2),
+               *P3 = Ctx.getParam(3);
+  auto Poly = [](const VnExpr *E) {
+    return JumpFunction::polynomial(JfExpr::fromVn(E, /*AllowGated=*/true));
+  };
+  const VnExpr *Opaque = Ctx.makeOpaque();
+  struct Pair {
+    const char *What;
+    JumpFunction A, B;
+  };
+  Pair Pairs[] = {
+      {"constant", JumpFunction::constant(5), JumpFunction::constant(6)},
+      {"constant in an expression",
+       Poly(Ctx.getBinary(BinaryOp::Sub, P1, Ctx.getConst(5))),
+       Poly(Ctx.getBinary(BinaryOp::Sub, P1, Ctx.getConst(6)))},
+      {"parameter id", JumpFunction::passThrough(1),
+       JumpFunction::passThrough(2)},
+      {"parameter id in an expression",
+       Poly(Ctx.getBinary(BinaryOp::Sub, P1, P2)),
+       Poly(Ctx.getBinary(BinaryOp::Sub, P1, P3))},
+      {"unary op", Poly(Ctx.getUnary(UnaryOp::Neg, P1)),
+       Poly(Ctx.getUnary(UnaryOp::LogicalNot, P1))},
+      {"binary op", Poly(Ctx.getBinary(BinaryOp::Sub, P1, P2)),
+       Poly(Ctx.getBinary(BinaryOp::Div, P1, P2))},
+      {"swapped gamma arms", Poly(Ctx.getGamma(P1, P2, P3)),
+       Poly(Ctx.getGamma(P1, P3, P2))},
+      {"copy against pass-through", JumpFunction::copyOf(1),
+       JumpFunction::passThrough(1)},
+      {"copy against parameter in an expression",
+       Poly(Ctx.getBinary(BinaryOp::Sub, Ctx.getCopyOf(1), P2)),
+       Poly(Ctx.getBinary(BinaryOp::Sub, P1, P2))},
+      {"unknown gamma arm", Poly(Ctx.getGamma(P1, P2, Opaque)),
+       Poly(Ctx.getGamma(P1, P2, Ctx.getConst(0)))},
+  };
+  for (const Pair &P : Pairs)
+    EXPECT_NE(fingerprint(P.A), fingerprint(P.B)) << P.What;
 }

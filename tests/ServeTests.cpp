@@ -711,6 +711,65 @@ TEST(ServeTransport, TcpRoundTrip) {
   S.shutdown();
 }
 
+/// A well-formed analyze request one byte over MaxRequestLineBytes.
+std::string overlongRequest() {
+  std::string Source = SampleProgram;
+  Source.append(MaxRequestLineBytes, ' ');
+  return analyzeRequest("big", Source);
+}
+
+TEST(ServeTransport, StreamRefusesOverlongLineAndKeepsServing) {
+  Server S({.Workers = 1});
+  ASSERT_TRUE(parsedOk(S.handle(analyzeRequest("warm", SampleProgram)))
+                  .boolOr("ok", false));
+  std::istringstream In(overlongRequest() + "\n" +
+                        analyzeRequest("next", SampleProgram) + "\n");
+  std::ostringstream Out;
+  serveStream(S, In, Out);
+
+  std::istringstream Lines(Out.str());
+  std::string Refused, Next, Extra;
+  ASSERT_TRUE(std::getline(Lines, Refused));
+  ASSERT_TRUE(std::getline(Lines, Next));
+  EXPECT_FALSE(std::getline(Lines, Extra)) << Extra;
+  EXPECT_EQ(errorKind(parsedOk(Refused)), "malformed") << Refused;
+  JsonValue R = parsedOk(Next);
+  EXPECT_EQ(R.strOr("id", ""), "next");
+  ASSERT_NE(R.find("result"), nullptr) << Next;
+  EXPECT_TRUE(R.find("result")->boolOr("cached", false)) << Next;
+}
+
+TEST(ServeTransport, TcpRefusesOverlongLineAndKeepsServing) {
+  Server S({.Workers = 1});
+  TcpListener Listener;
+  std::string Error;
+  if (!Listener.listen(0, Error))
+    GTEST_SKIP() << "cannot bind a loopback socket here: " << Error;
+  std::thread Accept([&] { Listener.run(S); });
+
+  ServeClient Client;
+  ASSERT_TRUE(Client.connect("127.0.0.1:" + std::to_string(Listener.port()),
+                             Error))
+      << Error;
+  std::string Reply;
+  ASSERT_TRUE(Client.call(analyzeRequest("t1", SampleProgram), Reply, Error))
+      << Error;
+  EXPECT_TRUE(parsedOk(Reply).boolOr("ok", false)) << Reply;
+  ASSERT_TRUE(Client.call(overlongRequest(), Reply, Error)) << Error;
+  EXPECT_EQ(errorKind(parsedOk(Reply)), "malformed") << Reply;
+  ASSERT_TRUE(Client.call(analyzeRequest("t2", SampleProgram), Reply, Error))
+      << Error;
+  JsonValue R = parsedOk(Reply);
+  EXPECT_EQ(R.strOr("id", ""), "t2");
+  ASSERT_NE(R.find("result"), nullptr) << Reply;
+  EXPECT_TRUE(R.find("result")->boolOr("cached", false)) << Reply;
+
+  Client.close();
+  Listener.stop();
+  Accept.join();
+  S.shutdown();
+}
+
 namespace {
 
 /// Runs \p L.run(S) on a thread and reports when it returns.

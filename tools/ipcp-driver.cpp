@@ -25,7 +25,6 @@
 #include "serve/Client.h"
 #include "serve/Protocol.h"
 #include "serve/Render.h"
-#include "ipcp/SummaryIO.h"
 #include "support/TablePrinter.h"
 #include "support/ThreadPool.h"
 #include "workloads/Suite.h"
@@ -69,12 +68,7 @@ static void printUsage() {
          "  --max-steps=<n>  execution step budget for --run/--validate\n"
          "  --server-url=<host:port>  forward the analysis to a running\n"
          "                 ipcp-serve and print its reply (byte-identical\n"
-         "                 to local mode)\n"
-         "  --summary-out=<file>  write the program's jump-function\n"
-         "                 summary (versioned JSON) and exit\n"
-         "  --summary-in=<file>   load jump functions from a summary file\n"
-         "                 instead of building them (validated against the\n"
-         "                 source and the selected configuration)\n";
+         "                 to local mode)\n";
 }
 
 // Parses a worker-count flag value: digits only, capped well below any
@@ -131,8 +125,6 @@ int main(int argc, char **argv) {
   unsigned Jobs = 1;
   std::string ConfigSet;
   std::string ServerUrl;
-  std::string SummaryOut;
-  std::string SummaryIn;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -194,10 +186,6 @@ int main(int argc, char **argv) {
       SuiteName = Arg.substr(8);
     } else if (Arg.rfind("--server-url=", 0) == 0) {
       ServerUrl = Arg.substr(13);
-    } else if (Arg.rfind("--summary-out=", 0) == 0) {
-      SummaryOut = Arg.substr(14);
-    } else if (Arg.rfind("--summary-in=", 0) == 0) {
-      SummaryIn = Arg.substr(13);
     } else if (Arg == "--help" || Arg == "-h") {
       printUsage();
       return 0;
@@ -395,61 +383,6 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  // The summary flags both drive the plain analysis report.
-  if (!SummaryOut.empty() || !SummaryIn.empty()) {
-    if (!SummaryOut.empty() && !SummaryIn.empty()) {
-      std::cerr << "error: --summary-out and --summary-in are mutually "
-                   "exclusive\n";
-      return 1;
-    }
-    if (DoRun || DoValidate || DoInline || DoClone || DumpIr || DumpSsa ||
-        DumpJf) {
-      std::cerr << "error: --summary-out/--summary-in support only the "
-                   "analysis report\n";
-      return 1;
-    }
-    if (Opts.CompletePropagation || Opts.IntraproceduralOnly) {
-      std::cerr << "error: --complete and --intra-only build no reusable "
-                   "jump functions to serialize\n";
-      return 1;
-    }
-  }
-  std::string ProgramName =
-      !SuiteName.empty()
-          ? SuiteName
-          : (!Path.empty() ? std::filesystem::path(Path).filename().string()
-                           : std::string("program"));
-
-  // Summary export: write the versioned jump-function summary and exit.
-  if (!SummaryOut.empty()) {
-    DiagnosticEngine Diags;
-    auto Ctx = parseProgram(Source, Diags);
-    SymbolTable Symbols;
-    if (!Diags.hasErrors())
-      Symbols = Sema::run(*Ctx, Diags);
-    if (Diags.hasErrors()) {
-      Diags.print(std::cerr);
-      return 1;
-    }
-    AnalysisSession Session(*Ctx, Symbols);
-    ProgramSummary S = buildSummary(Session, Opts, ProgramName,
-                                    summarySourceHash(Source));
-    std::ofstream OutFile(SummaryOut, std::ios::binary | std::ios::trunc);
-    if (!OutFile) {
-      std::cerr << "error: cannot write '" << SummaryOut << "'\n";
-      return 1;
-    }
-    OutFile << serializeSummary(S) << '\n';
-    OutFile.flush();
-    if (!OutFile) {
-      std::cerr << "error: failed writing '" << SummaryOut << "'\n";
-      return 1;
-    }
-    std::cerr << "! wrote summary of " << S.Procs.size()
-              << " procedures to '" << SummaryOut << "'\n";
-    return 0;
-  }
-
   if (DoRun) {
     DiagnosticEngine Diags;
     auto Ctx = parseProgram(Source, Diags);
@@ -569,26 +502,7 @@ int main(int argc, char **argv) {
   }
 
   Opts.EmitTransformedSource = EmitSource;
-  PipelineResult Result;
-  if (!SummaryIn.empty()) {
-    // Load stage 2 from a summary file instead of building it. Every
-    // mismatch — version, configuration, source hash, shape — is a loud
-    // failure, never a silent load (see ipcp/SummaryIO.h).
-    std::ifstream In(SummaryIn, std::ios::binary);
-    if (!In) {
-      std::cerr << "error: cannot open '" << SummaryIn << "'\n";
-      return 1;
-    }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    if (In.bad()) {
-      std::cerr << "error: failed reading '" << SummaryIn << "'\n";
-      return 1;
-    }
-    Result = runPipelineFromSummary(Buf.str(), Source, Opts, SummaryIn);
-  } else {
-    Result = runPipeline(Source, Opts);
-  }
+  PipelineResult Result = runPipeline(Source, Opts);
   if (!Result.Ok) {
     std::cerr << Result.Error;
     return 1;

@@ -30,7 +30,10 @@
 #     under sanitizer presets, which tax the two sides of a ratio
 #     unevenly).
 #
-# Unless --quick, the default preset then runs the random fuzz sweep
+# The default preset then runs the benchmark's own tests
+# (`python3 perfbench/run.py --selftest`): perfbench compiles src/ into
+# its own build tree, so this is what catches an API change that breaks
+# the benchmark. Unless --quick, it also runs the random fuzz sweep
 # (tools/fuzz-sweep.py: 6000 random campaign seeds, `ipcp-fuzz --runs=4
 # --seed-programs=3` each, 4 at a time), which must report no failing
 # seed.
@@ -106,6 +109,11 @@ for preset in "${PRESETS[@]}"; do
 
   echo "==== [$preset] speed gates (check-bench) ===="
   ctest --test-dir "$builddir" -L check-bench --output-on-failure
+
+  if [[ "$preset" == "default" ]]; then
+    echo "==== [default] benchmark self-test (perfbench) ===="
+    python3 perfbench/run.py --selftest
+  fi
 
   if [[ "$preset" == "default" && "$RUN_SWEEP" == "1" ]]; then
     echo "==== [default] random fuzz sweep (6000 campaign seeds) ===="
