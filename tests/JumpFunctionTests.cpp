@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 
 using namespace ipcp;
@@ -300,7 +301,11 @@ std::vector<LatticeValue> evalUnderFixedEnvs(const JumpFunction &J) {
 
 } // namespace
 
-TEST(JumpFunction, FingerprintIsAnExactEncoding) {
+// The two SummaryIO tests keep the names they had when fingerprints were
+// also the text of a summary file and were checked by parsing them back.
+// They now show that fingerprints are an exact encoding without a parser.
+
+TEST(SummaryIO, FingerprintRoundTripsEveryFormInSuite) {
   // Every jump function of every suite program, and of seeded random
   // programs (the suite has few polynomial ones), under every builder
   // configuration, grouped by fingerprint: a group must render as one
@@ -348,9 +353,13 @@ TEST(JumpFunction, FingerprintIsAnExactEncoding) {
     }
   }
   EXPECT_GT(Checked, 1000u);
+}
 
-  // Pairs that differ in exactly one thing, built by hand so coverage
-  // does not depend on what the suite programs happen to generate.
+TEST(SummaryIO, FingerprintParsesHandWrittenForms) {
+  // Gamma, unknown and copy nodes, built by hand so coverage does not
+  // depend on what the suite programs happen to generate: each form
+  // encodes as written, and pairs that differ in exactly one thing get
+  // distinct fingerprints.
   VnContext Ctx;
   const VnExpr *P1 = Ctx.getParam(1), *P2 = Ctx.getParam(2),
                *P3 = Ctx.getParam(3);
@@ -358,6 +367,35 @@ TEST(JumpFunction, FingerprintIsAnExactEncoding) {
     return JumpFunction::polynomial(JfExpr::fromVn(E, /*AllowGated=*/true));
   };
   const VnExpr *Opaque = Ctx.makeOpaque();
+  const VnExpr *C0 = Ctx.getConst(0);
+  struct Form {
+    const char *Fp;
+    JumpFunction J;
+  };
+  Form Forms[] = {
+      {"B", JumpFunction::bottom()},
+      {"C-9223372036854775808;",
+       JumpFunction::constant(std::numeric_limits<int64_t>::min())},
+      {"C42;", JumpFunction::constant(42)},
+      {"P3;", JumpFunction::passThrough(3)},
+      {"K3;", JumpFunction::copyOf(3)},
+      {"Yc5;", Poly(Ctx.getConst(5))},
+      {"Yp7;", Poly(Ctx.getParam(7))},
+      {"Yk2;", Poly(Ctx.getCopyOf(2))},
+      {"Yu1(p2;)", Poly(Ctx.getUnary(UnaryOp::LogicalNot, P2))},
+      {"Yb4(p1;c3;)",
+       Poly(Ctx.getBinary(BinaryOp::Mod, P1, Ctx.getConst(3)))},
+      {"Yg(b7(p1;c0;)c1;?)",
+       Poly(Ctx.getGamma(Ctx.getBinary(BinaryOp::CmpLt, P1, C0),
+                         Ctx.getConst(1), Opaque))},
+      {"Yb1(g(p1;?c2;)u0(p3;))",
+       Poly(Ctx.getBinary(BinaryOp::Sub,
+                          Ctx.getGamma(P1, Opaque, Ctx.getConst(2)),
+                          Ctx.getUnary(UnaryOp::Neg, P3)))},
+  };
+  for (const Form &F : Forms)
+    EXPECT_EQ(fingerprint(F.J), F.Fp);
+
   struct Pair {
     const char *What;
     JumpFunction A, B;
