@@ -16,6 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ipcp/AnalysisSession.h"
 #include "ipcp/Pipeline.h"
 #include "lang/Parser.h"
 
@@ -160,17 +161,17 @@ void inspectLoops(const SubstitutionMap &Consts,
   }
 }
 
-LoopReport analyze(AstContext &Ctx, const SymbolTable &Symbols,
-                   bool Interprocedural, bool Print) {
+LoopReport analyze(AnalysisSession &Session, bool Interprocedural,
+                   bool Print) {
   PipelineOptions Opts;
   Opts.IntraproceduralOnly = !Interprocedural;
-  PipelineResult Result = runPipelineOnAst(Ctx, Symbols, Opts);
+  PipelineResult Result = runPipelineOnSession(Session, Opts);
   if (!Result.Ok) {
     std::cerr << Result.Error;
     exit(1);
   }
   LoopReport Report;
-  for (const auto &P : Ctx.program().Procs)
+  for (const auto &P : Session.ast().program().Procs)
     inspectLoops(Result.Substitutions, P->Body, P->name(), Print, Report);
   return Report;
 }
@@ -188,13 +189,14 @@ int main() {
     Diags.print(std::cerr);
     return 1;
   }
+  AnalysisSession Session(*Ctx, Symbols);
 
   std::cout << "without interprocedural constants:\n";
-  LoopReport Before = analyze(*Ctx, Symbols, false, true);
+  LoopReport Before = analyze(Session, false, true);
 
   std::cout << "\nwith interprocedural constants (polynomial + return "
                "JFs):\n";
-  LoopReport After = analyze(*Ctx, Symbols, true, true);
+  LoopReport After = analyze(Session, true, true);
 
   std::cout << "\nsummary: " << Before.Known << "/"
             << Before.Known + Before.Unknown

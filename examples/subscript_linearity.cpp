@@ -19,6 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ipcp/AnalysisSession.h"
 #include "ipcp/Pipeline.h"
 #include "lang/Parser.h"
 
@@ -181,18 +182,17 @@ void visitStmts(const SubstitutionMap &Consts,
   }
 }
 
-SubscriptCounts classify(AstContext &Ctx, const SymbolTable &Symbols,
-                         bool Interprocedural) {
+SubscriptCounts classify(AnalysisSession &Session, bool Interprocedural) {
   PipelineOptions Opts;
   Opts.IntraproceduralOnly = !Interprocedural;
-  PipelineResult Result = runPipelineOnAst(Ctx, Symbols, Opts);
+  PipelineResult Result = runPipelineOnSession(Session, Opts);
   if (!Result.Ok) {
     std::cerr << Result.Error;
     exit(1);
   }
   SubscriptCounts Counts;
   std::set<uint32_t> LoopVars;
-  for (const auto &P : Ctx.program().Procs)
+  for (const auto &P : Session.ast().program().Procs)
     visitStmts(Result.Substitutions, P->Body, LoopVars, Counts);
   return Counts;
 }
@@ -210,9 +210,10 @@ int main() {
     Diags.print(std::cerr);
     return 1;
   }
+  AnalysisSession Session(*Ctx, Symbols);
 
-  SubscriptCounts Before = classify(*Ctx, Symbols, false);
-  SubscriptCounts After = classify(*Ctx, Symbols, true);
+  SubscriptCounts Before = classify(Session, false);
+  SubscriptCounts After = classify(Session, true);
 
   unsigned Total = Before.Linear + Before.Nonlinear;
   std::cout << "subscripts: " << Total << "\n";

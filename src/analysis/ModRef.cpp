@@ -6,6 +6,7 @@
 
 #include "analysis/ModRef.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace ipcp;
@@ -98,20 +99,14 @@ ModRefInfo::ModRefInfo(const Module &M, const SymbolTable &Symbols,
           raise(Ref, Actual.Sym);
       }
       // Global effects propagate directly.
-      for (SymbolId G : Symbols.globalScalars()) {
-        if (Mod[Callee][G])
-          raise(Mod, G);
-        if (Ref[Callee][G])
-          raise(Ref, G);
-      }
-      for (const Symbol &Sym : Symbols.symbols()) {
-        if (Sym.Kind != SymbolKind::GlobalArray)
-          continue;
-        if (Mod[Callee][Sym.Id])
-          raise(Mod, Sym.Id);
-        if (Ref[Callee][Sym.Id])
-          raise(Ref, Sym.Id);
-      }
+      for (const auto *Globals :
+           {&Symbols.globalScalars(), &Symbols.globalArrays()})
+        for (SymbolId G : *Globals) {
+          if (Mod[Callee][G])
+            raise(Mod, G);
+          if (Ref[Callee][G])
+            raise(Ref, G);
+        }
 
       if (Changed && !InWork[Caller]) {
         InWork[Caller] = 1;
@@ -144,12 +139,13 @@ std::vector<SymbolId> ipcp::computeCallKills(const Function &F,
   (void)F;
   assert(Call.Op == Opcode::Call && "kill query on a non-call");
   std::vector<SymbolId> Kills;
-  std::vector<uint8_t> Seen(Symbols.size(), 0);
-  auto add = [&](SymbolId Sym) {
-    if (!Seen[Sym]) {
-      Seen[Sym] = 1;
+  // Each symbol is killed once: the actuals' kills come first, and only
+  // they can repeat a symbol (globalScalars() has no duplicates), so a
+  // short linear search over them dedupes.
+  auto add = [&](SymbolId Sym, size_t SearchEnd) {
+    if (std::find(Kills.begin(), Kills.begin() + SearchEnd, Sym) ==
+        Kills.begin() + SearchEnd)
       Kills.push_back(Sym);
-    }
   };
 
   const auto &Formals = Symbols.formals(Call.Callee);
@@ -159,11 +155,12 @@ std::vector<SymbolId> ipcp::computeCallKills(const Function &F,
     if (!Actual.isVar())
       continue; // Expression actuals bind to by-value temporaries.
     if (!MRI || MRI->mods(Call.Callee, Formals[I]))
-      add(Actual.Sym);
+      add(Actual.Sym, Kills.size());
   }
+  size_t NumActualKills = Kills.size();
   for (SymbolId G : Symbols.globalScalars())
     if (!MRI || MRI->mods(Call.Callee, G))
-      add(G);
+      add(G, NumActualKills);
   return Kills;
 }
 

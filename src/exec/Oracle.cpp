@@ -120,17 +120,17 @@ using EntryClaimList = std::vector<std::vector<std::pair<SymbolId, int64_t>>>;
 /// analyzed program (names are unambiguous: formals may not shadow
 /// globals).
 EntryClaimList resolveEntryClaims(const PipelineResult &P,
-                                  const CheckedProgram &Analyzed) {
-  EntryClaimList Claims(Analyzed.Ctx->program().Procs.size());
+                                  const SymbolTable &Symbols) {
+  EntryClaimList Claims(P.Constants.size());
   for (size_t Pid = 0; Pid != P.Constants.size(); ++Pid) {
     for (const auto &[Name, Value] : P.Constants[Pid]) {
       SymbolId Found = InvalidSymbol;
-      for (SymbolId Sym : Analyzed.Symbols.formals(ProcId(Pid)))
-        if (Analyzed.Symbols.symbol(Sym).Name == Name)
+      for (SymbolId Sym : Symbols.formals(ProcId(Pid)))
+        if (Symbols.symbol(Sym).Name == Name)
           Found = Sym;
       if (Found == InvalidSymbol)
-        for (SymbolId Sym : Analyzed.Symbols.globalScalars())
-          if (Analyzed.Symbols.symbol(Sym).Name == Name)
+        for (SymbolId Sym : Symbols.globalScalars())
+          if (Symbols.symbol(Sym).Name == Name)
             Found = Sym;
       if (Found != InvalidSymbol)
         Claims[Pid].push_back({Found, Value});
@@ -357,23 +357,14 @@ PipelineResult OracleProgram::analyze(const PipelineOptions &Pipeline) {
   return runPipelineOnSession(*Session, PO);
 }
 
+OracleResult OracleProgram::validate(const OracleChecks &Checks) {
+  if (!parseError().empty())
+    return validate(PipelineResult(), Checks);
+  return validate(analyze(Checks.Pipeline), Checks);
+}
+
 OracleResult OracleProgram::validate(const PipelineResult &Run,
                                      const OracleChecks &Checks) {
-  return check(&Run, Checks);
-}
-
-OracleResult OracleProgram::validate(const OracleChecks &Checks) {
-  // Complete propagation may fold, and a run that folded is analyzed
-  // again in place: analyzing it in place straight away saves the
-  // session run.
-  if (!parseError().empty() || Checks.Pipeline.CompletePropagation)
-    return check(nullptr, Checks);
-  PipelineResult Run = analyze(Checks.Pipeline);
-  return check(&Run, Checks);
-}
-
-OracleResult OracleProgram::check(const PipelineResult *SessionRun,
-                                  const OracleChecks &Checks) {
   OracleResult R;
   FailureLog Failures;
   // Validating analyzes on no session: free the shared one's caches
@@ -385,39 +376,28 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
     R.Error = "source does not parse: " + parseError();
     return R;
   }
-  if (SessionRun && !SessionRun->Ok) {
-    R.Error = "pipeline failed: " + SessionRun->Error;
+  if (!Run.Ok) {
+    R.Error = "pipeline failed: " + Run.Error;
     return R;
   }
   // A run that folded no branch analyzed the reference program, ids and
   // all, so its claims are checked against the reference observation.
-  // One that folded is analyzed again in place on a private parse, whose
-  // DCE'd program the claims then describe and replay on.
-  const PipelineResult *P = SessionRun;
-  const CheckedProgram *Analyzed = &Ref->Parsed;
-  CheckedProgram Folded;
-  PipelineResult FoldedRun;
+  // One that folded describes its own dead-code-eliminated clone, which
+  // shares the reference SymbolTable; its claims replay on that clone.
+  const SymbolTable &Symbols = Ref->Parsed.Symbols;
   std::optional<ProgramRunner> FoldedRunner;
-  if (!SessionRun || SessionRun->FoldedBranches != 0) {
-    Folded = parseChecked(Source);
-    PipelineOptions POpts = Checks.Pipeline;
-    POpts.EmitTransformedSource = true;
-    FoldedRun = runPipelineOnAst(*Folded.Ctx, Folded.Symbols, POpts);
-    if (!FoldedRun.Ok) {
-      R.Error = "pipeline failed: " + FoldedRun.Error;
-      return R;
-    }
-    P = &FoldedRun;
-    Analyzed = &Folded;
-    FoldedRunner.emplace(Folded.Ctx->program(), Folded.Symbols, Runs.Engine);
-  }
-  EntryClaimList EntryClaims = resolveEntryClaims(*P, *Analyzed);
+  if (Run.FoldedProgram)
+    FoldedRunner.emplace(Run.FoldedProgram->program(), Symbols, Runs.Engine);
+  const Program &Analyzed = Run.FoldedProgram
+                                ? Run.FoldedProgram->program()
+                                : Ref->Parsed.Ctx->program();
+  EntryClaimList EntryClaims = resolveEntryClaims(Run, Symbols);
 
   // Steps 3 and 4 prep: the derived programs must reparse cleanly.
   Traced *Transformed = nullptr, *InlinedProg = nullptr,
          *ClonedProg = nullptr;
   if (Checks.CheckTransformedSource) {
-    Transformed = &derived(P->TransformedSource);
+    Transformed = &derived(Run.TransformedSource);
     if (!Transformed->Parsed.ok())
       Failures.add("transformed source does not reparse: " +
                    Transformed->Parsed.Error);
@@ -463,14 +443,13 @@ OracleResult OracleProgram::check(const PipelineResult *SessionRun,
     {
       std::optional<RunResult> Replayed;
       if (FoldedRunner ||
-          !checkObservedClaims(*Observed[SeedIdx], P->Substitutions,
+          !checkObservedClaims(*Observed[SeedIdx], Run.Substitutions,
                                EntryClaims, R)) {
         RunOptions RO;
         RO.Limits = Runs.Limits;
         RO.ReadSeed = Seed;
         Replayed = replayClaims(FoldedRunner ? *FoldedRunner : *Ref->Runner,
-                                RO, Analyzed->Ctx->program(),
-                                Analyzed->Symbols, P->Substitutions,
+                                RO, Analyzed, Symbols, Run.Substitutions,
                                 EntryClaims, R, Failures);
       }
       ++R.RunsExecuted;

@@ -51,11 +51,12 @@
 /// claims are checked against that observation in time linear in the
 /// number of claims. Only when the observation contradicts a claim is
 /// step 2's hooked run made for real, so the failures are reported in
-/// execution order. A configuration that folded is re-analyzed in place
-/// on a private parse, and its claims replay on that DCE'd program. An
-/// observation or trace served from the cache counts as the run it
-/// replaces, so every OracleResult (counters, Ok and Error) is the one a
-/// lone validateTranslation of that configuration reports.
+/// execution order. A configuration that folded describes its own
+/// dead-code-eliminated clone (PipelineResult::FoldedProgram), and its
+/// claims replay on that clone. An observation or trace served from the
+/// cache counts as the run it replaces, so every OracleResult (counters,
+/// Ok and Error) is the one a lone validateTranslation of that
+/// configuration reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -222,14 +223,12 @@ public:
   /// configuration first: one analyzed after a validation starts cold.
   PipelineResult analyze(const PipelineOptions &Pipeline);
 
-  /// Validates \p Run, an analyze(Checks.Pipeline) result. A run that
-  /// folded a branch is analyzed again, in place on a private parse,
-  /// and its claims replay on that DCE'd program.
+  /// Validates \p Run, an analyze(Checks.Pipeline) result, without
+  /// parsing or analyzing anything. A run that folded a branch replays
+  /// its claims on its own FoldedProgram.
   OracleResult validate(const PipelineResult &Run, const OracleChecks &Checks);
 
-  /// Analyzes Checks.Pipeline and validates it. Under complete
-  /// propagation, which may fold, the analysis runs straight in place
-  /// on a private parse.
+  /// Analyzes Checks.Pipeline and validates it.
   OracleResult validate(const OracleChecks &Checks);
 
 private:
@@ -244,10 +243,6 @@ private:
   /// The reference trace under the seed at \p SeedIdx; the run that
   /// takes it records Observed[SeedIdx].
   const RunResult &reference(size_t SeedIdx);
-  /// Validates \p SessionRun, or, when it is null or folded a branch, a
-  /// run of Checks.Pipeline in place on a private parse.
-  OracleResult check(const PipelineResult *SessionRun,
-                     const OracleChecks &Checks);
 
   std::string Source;
   OracleRuns Runs;

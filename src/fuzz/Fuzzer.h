@@ -135,9 +135,9 @@ struct FuzzResult {
 /// The checks share one OracleProgram (exec/Oracle.h): one parse, one
 /// AnalysisSession and one reference run per READ seed. Each
 /// configuration is analyzed once, with OracleProgram::analyze, and that
-/// result feeds both the cross-config checks and its oracle validation;
-/// only a configuration that folded a branch is analyzed again, in
-/// place, for the oracle. The solver strategies run after the ten
+/// result feeds both the cross-config checks and its oracle validation
+/// (a configuration that folded a branch replays on its own folded
+/// clone). The solver strategies run after the ten
 /// configurations, on the warm session. Every check and its failure
 /// report are the ones separate cold runs would give, except the
 /// SolverMemoHits/SolverMemoMisses features: they count memo traffic on

@@ -13,7 +13,8 @@
 
 using namespace ipcp;
 
-AnalysisSession::AnalysisSession(AstContext &Ctx, const SymbolTable &Symbols)
+AnalysisSession::AnalysisSession(const AstContext &Ctx,
+                                 const SymbolTable &Symbols)
     : Ctx(Ctx), Symbols(Symbols), NumProcs(Ctx.program().Procs.size()),
       SsaSlots(std::make_unique<SsaSlot[]>(NumProcs * 2)) {}
 
@@ -30,7 +31,7 @@ const Module &AnalysisSession::moduleLocked() {
       continue;
     Mod.Functions[P] = buildFunction(Prog, Symbols, P);
     C.ProcsLowered.fetch_add(1, std::memory_order_relaxed);
-    if (EverInvalidated)
+    if (AdoptedLowering)
       C.ProcsRelowered.fetch_add(1, std::memory_order_relaxed);
   }
   AllLowered = true;
@@ -159,50 +160,6 @@ AnalysisSession::jfBase(const JumpFunctionOptions &Opts,
   return *Slot->B;
 }
 
-void AnalysisSession::invalidate(const std::vector<ProcId> &Dirty) {
-  // Exclusive use: these sections are taken sequentially only to satisfy
-  // the mutex API, not to order against concurrent readers (there are
-  // none by contract).
-  //
-  // The value-context memo is fingerprint-keyed, so stale groups could
-  // never be *replayed* against the mutated program's (different) jump
-  // functions — clearing reclaims their memory and keeps the table's
-  // lifetime tied to the artifacts it was recorded alongside.
-  VcMemo.clear();
-  // Replayed substitution maps and branch decisions name this AST's
-  // expression and statement ids, which DCE just rewrote.
-  SubstMemo.clear();
-  {
-    std::lock_guard<std::mutex> Lock(JfMutex);
-    JfSlots.clear();
-  }
-  for (size_t I = 0, E = NumProcs * 2; I != E; ++I) {
-    std::lock_guard<std::mutex> Lock(SsaSlots[I].M);
-    SsaSlots[I].B.reset();
-  }
-  std::lock_guard<std::mutex> Lock(CoreMutex);
-  EverInvalidated = true;
-  for (ProcId P : Dirty) {
-    assert(P < NumProcs && "dirty procedure id out of range");
-    if (P < Mod.Functions.size() && Mod.Functions[P]) {
-      Mod.Functions[P].reset();
-      AllLowered = false;
-    }
-  }
-  CG.reset();
-  Mri.reset();
-  MriBuilt = false;
-  Aliases[0].reset();
-  Aliases[1].reset();
-  FlowAliases[0].reset();
-  FlowAliases[1].reset();
-  CopyProps[0].reset();
-  CopyProps[1].reset();
-  // The oracles capture the (now dead) ModRefInfo pointer.
-  Oracles[0].reset();
-  Oracles[1].reset();
-}
-
 void AnalysisSession::adoptLowering(AnalysisSession &From,
                                     const std::vector<ProcId> &Dirty) {
   assert(&From != this && From.NumProcs == NumProcs &&
@@ -217,7 +174,7 @@ void AnalysisSession::adoptLowering(AnalysisSession &From,
   for (ProcId P = 0, E = static_cast<ProcId>(NumProcs); P != E; ++P)
     if (!IsDirty[P])
       Mod.Functions[P] = Src.function(P).clone();
-  EverInvalidated = true;
+  AdoptedLowering = true;
 }
 
 SessionStats AnalysisSession::stats() const {

@@ -15,8 +15,8 @@
 ///     one Module, and one SSA/VN per (procedure, UseMod) instead of
 ///     rebuilding them per cell (Tables 2/3 rerun the same programs);
 ///   * complete-propagation rounds re-lower only the procedures the
-///     dead-code eliminator actually mutated (its dirty-set), via
-///     invalidate();
+///     dead-code eliminator actually mutated (its dirty-set): the next
+///     round's session over the folded clone adoptLowering()s the rest;
 ///   * the expensive stage-1 value numberings (Pai: GVN dominates the
 ///     analysis cost) are reused by stage 2 and by later configurations
 ///     whenever provably identical to a fresh build.
@@ -36,10 +36,10 @@
 ///     non-recursive procedures (bottom-up order guarantees their
 ///     callees' return jump functions were complete); recursive ones are
 ///     rebuilt per configuration (JumpFunctionBuilder enforces this).
-///   * invalidate() keeps only the lowered Functions of clean
+///   * adoptLowering() takes only the lowered Functions of clean
 ///     procedures: a mutated body can change MOD sets, and through them
 ///     the kill sets — hence SSA — of every caller, so everything
-///     downstream of lowering is dropped wholesale.
+///     downstream of lowering is rebuilt.
 ///
 /// The substitution memo (stage 4, Padhye & Khedker's value contexts
 /// applied to the seeded SCCP of ipcp/Substitution.h) keys one
@@ -67,14 +67,13 @@
 /// Nothing else reaches the SCCP, so a replayed count, constant-print
 /// count, substitution-map slice and branch-decision set is exactly what
 /// a fresh run would compute. Expression and statement ids in the
-/// replayed maps are those of this session's AST, which invalidate()
-/// guards by clearing the memo.
+/// replayed maps are those of this session's AST, which never changes:
+/// a session's program is read-only, so each memo lives exactly as long
+/// as its session.
 ///
-/// Read accessors are thread-safe (the shared-suite runner analyzes one
-/// session from many cells concurrently); invalidate() and mutating
-/// ast() require exclusive use, which only the in-place complete
-/// propagation of runPipelineOnAst needs — runPipelineOnSession never
-/// mutates a session's program (ipcp/Pipeline.h). Locking is
+/// Every accessor is thread-safe (the shared-suite runner analyzes one
+/// session from many cells concurrently); only adoptLowering(), on a
+/// fresh session, requires exclusive use of it. Locking is
 /// per artifact so that cells of one program do not queue behind each
 /// other: CoreMutex guards the module and the whole-program summaries,
 /// while each SSA bundle (per procedure and UseMod) and each
@@ -121,7 +120,7 @@ namespace ipcp {
 /// report, perfbench's hit rates and the cache tests.
 struct SessionStats {
   uint64_t ProcsLowered = 0;   ///< buildFunction calls (initial + re-lowers).
-  uint64_t ProcsRelowered = 0; ///< Subset rebuilt after an invalidate().
+  uint64_t ProcsRelowered = 0; ///< Subset lowered after adoptLowering().
   uint64_t SsaBuilt = 0;       ///< SSA bundles constructed.
   uint64_t SsaReused = 0;      ///< ssa() calls served from the cache.
   uint64_t VnBuilt = 0;        ///< Value numberings constructed.
@@ -156,19 +155,19 @@ class AnalysisSession {
 public:
   /// The session keeps references to both arguments; they must outlive
   /// it, and \p Ctx must already be checked by Sema against \p Symbols.
-  AnalysisSession(AstContext &Ctx, const SymbolTable &Symbols);
+  AnalysisSession(const AstContext &Ctx, const SymbolTable &Symbols);
   ~AnalysisSession();
 
   AnalysisSession(const AnalysisSession &) = delete;
   AnalysisSession &operator=(const AnalysisSession &) = delete;
 
-  /// The analyzed program. Mutating it (DCE) requires exclusive use and
-  /// a matching invalidate() before the next analysis read.
-  AstContext &ast() { return Ctx; }
+  /// The analyzed program.
+  const AstContext &ast() const { return Ctx; }
   const SymbolTable &symbols() const { return Symbols; }
 
-  /// The lowered Module, rebuilding only procedures with no current
-  /// Function (initially: all; after invalidate(Dirty): Dirty only).
+  /// The lowered Module, lowering only procedures with no current
+  /// Function (initially: all; after adoptLowering(From, Dirty): Dirty
+  /// only).
   const Module &module();
 
   /// The call graph of module() (built on demand).
@@ -235,26 +234,19 @@ public:
   /// The session-shared value-context memo: every solve over this
   /// session records and replays jump-function evaluations here, so warm
   /// suite cells and repeat serve requests (same program, different
-  /// config) reuse each other's contexts. Thread-safe; cleared by
-  /// invalidate().
+  /// config) reuse each other's contexts. Thread-safe.
   ValueContextMemo &solverMemo() { return VcMemo; }
 
   /// The session-shared substitution memo (see the file comment for its
-  /// key). Thread-safe; cleared by invalidate().
+  /// key). Thread-safe.
   SubstitutionMemo &substitutionMemo() { return SubstMemo; }
 
-  /// Drops every artifact invalidated by a structural change to the
-  /// procedures in \p Dirty (typically DeadCodeElim's dirty-set): their
-  /// lowered Functions, plus all derived analyses of every procedure
-  /// (see file comment). Requires exclusive use of the session.
-  void invalidate(const std::vector<ProcId> &Dirty);
-
   /// For a fresh session over an id-preserving clone of \p From's program
-  /// whose bodies differ only in \p Dirty (complete propagation's first
-  /// fold): starts this module from copies of From's lowered Functions
-  /// of every other procedure — what invalidate(Dirty) would have kept
-  /// had the fold run in place. Requires exclusive use of this session;
-  /// From is only read.
+  /// whose bodies differ only in \p Dirty (DeadCodeElim's dirty-set, on
+  /// every complete-propagation fold): starts this module from copies of
+  /// From's lowered Functions of every other procedure, so module()
+  /// lowers exactly Dirty. Requires exclusive use of this session; From
+  /// is only read.
   void adoptLowering(AnalysisSession &From, const std::vector<ProcId> &Dirty);
 
   /// Snapshot of the cache counters.
@@ -280,7 +272,7 @@ private:
   const ModRefInfo *modRefLocked(bool UseMod);
   const SsaForm::KillOracle &killOracleLocked(bool UseMod);
 
-  AstContext &Ctx;
+  const AstContext &Ctx;
   const SymbolTable &Symbols;
   const size_t NumProcs;
 
@@ -288,7 +280,8 @@ private:
   std::mutex CoreMutex;
   Module Mod;
   bool AllLowered = false;
-  bool EverInvalidated = false;
+  /// Set by adoptLowering(): every later lowering is a re-lowering.
+  bool AdoptedLowering = false;
   std::optional<CallGraph> CG;
   bool MriBuilt = false;
   std::optional<ModRefInfo> Mri;

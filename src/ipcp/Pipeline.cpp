@@ -7,6 +7,7 @@
 #include "ipcp/Pipeline.h"
 
 #include "analysis/CopyProp.h"
+#include "analysis/DeadCodeElim.h"
 #include "ipcp/AnalysisSession.h"
 #include "ir/CfgBuilder.h"
 #include "lang/AstClone.h"
@@ -64,18 +65,10 @@ void recordRunFeatures(FuzzFeedback *FB, const PipelineResult &R) {
   FB->hit(FuzzFeature::NeverCalledProcs, R.NeverCalled.size());
 }
 
-/// Where complete propagation applies a round's dead-code elimination.
-enum class FoldTarget {
-  /// The session's own program (runPipelineOnAst: the caller owns it and
-  /// may execute the result).
-  InPlace,
-  /// A private clone, made by the first round that folds anything; the
-  /// session's program is never touched (runPipelineOnSession).
-  PrivateClone,
-};
+} // namespace
 
-PipelineResult runRounds(AnalysisSession &Session, const PipelineOptions &Opts,
-                         FoldTarget Target) {
+PipelineResult ipcp::runPipelineOnSession(AnalysisSession &Session,
+                                          const PipelineOptions &Opts) {
   PipelineResult Result;
   const SymbolTable &Symbols = Session.symbols();
   const Program &Prog = Session.ast().program();
@@ -96,11 +89,11 @@ PipelineResult runRounds(AnalysisSession &Session, const PipelineOptions &Opts,
     Pool = OwnedPool.get();
   }
 
-  // The session the current round analyzes: the caller's, until a
-  // PrivateClone run folds for the first time and moves onto its own
+  // The session the current round analyzes: the caller's, until the
+  // first fold moves the run onto a private clone of its program
   // (declared in this order so the session dies before its program).
   AnalysisSession *Active = &Session;
-  std::unique_ptr<AstContext> PrivateAst;
+  std::shared_ptr<AstContext> Folded;
   std::unique_ptr<AnalysisSession> Private;
 
   for (const auto &P : Prog.Procs)
@@ -190,38 +183,25 @@ PipelineResult runRounds(AnalysisSession &Session, const PipelineOptions &Opts,
         FlowAliases, CopyFacts);
     Result.Timings.SubstituteMs += lapMs(Phase);
 
-    bool FinalRound = true;
-    // The caller's program stays untouched: it is cloned, once, and only
-    // when this round will fold something.
-    bool NeedsClone =
-        Target == FoldTarget::PrivateClone && Active == &Session;
     if (Opts.CompletePropagation && !Subs.Branches.empty() &&
-        (!NeedsClone || DeadCodeElim::wouldFold(Prog, Subs.Branches))) {
-      if (NeedsClone) {
-        // The clone keeps its ids, so this round's decisions apply to it
-        // unchanged.
-        PrivateAst = cloneProgramResolved(Session.ast());
-        Private = std::make_unique<AnalysisSession>(*PrivateAst, Symbols);
-        Active = Private.get();
-      }
+        DeadCodeElim::wouldFold(Active->ast().program(), Subs.Branches)) {
+      // The caller's program is never touched: the first fold clones it
+      // (cloneProgramResolved keeps ids, so this round's decisions apply
+      // to the clone unchanged). Each fold continues on a fresh session
+      // over the clone, which re-lowers only the procedures DCE mutated
+      // and adopts the previous session's lowering of the rest.
+      if (!Folded)
+        Folded = cloneProgramResolved(Session.ast());
       std::vector<ProcId> Dirty;
-      unsigned Folded =
-          DeadCodeElim::run(Active->ast(), Subs.Branches, &Dirty);
-      if (Folded != 0) {
-        Result.FoldedBranches += Folded;
-        ++Result.DceRounds;
-        FinalRound = false;
-        // Only the procedures DCE mutated are re-lowered next round; the
-        // session drops everything derived from them (a fresh private
-        // one starts from the shared session's lowering of the rest).
-        if (NeedsClone)
-          Active->adoptLowering(Session, Dirty);
-        else
-          Active->invalidate(Dirty);
-      }
-    }
-    if (!FinalRound)
+      Result.FoldedBranches +=
+          DeadCodeElim::run(*Folded, Subs.Branches, &Dirty);
+      ++Result.DceRounds;
+      auto Next = std::make_unique<AnalysisSession>(*Folded, Symbols);
+      Next->adoptLowering(*Active, Dirty);
+      Private = std::move(Next);
+      Active = Private.get();
       continue;
+    }
 
     // Record the results of the final round.
     Result.Ok = true;
@@ -262,26 +242,13 @@ PipelineResult runRounds(AnalysisSession &Session, const PipelineOptions &Opts,
           Printer.programToString(Active->ast().program());
     }
     Result.Substitutions = std::move(Subs.Map);
+    Result.FoldedProgram = std::move(Folded);
     recordRunFeatures(Opts.Feedback, Result);
     Result.Timings.TotalMs +=
         std::chrono::duration<double, std::milli>(Clock::now() - RunStart)
             .count();
     return Result;
   }
-}
-
-} // namespace
-
-PipelineResult ipcp::runPipelineOnSession(AnalysisSession &Session,
-                                          const PipelineOptions &Opts) {
-  return runRounds(Session, Opts, FoldTarget::PrivateClone);
-}
-
-PipelineResult ipcp::runPipelineOnAst(AstContext &Ctx,
-                                      const SymbolTable &Symbols,
-                                      const PipelineOptions &Opts) {
-  AnalysisSession Session(Ctx, Symbols);
-  return runRounds(Session, Opts, FoldTarget::InPlace);
 }
 
 PipelineResult ipcp::runPipeline(std::string_view Source,
@@ -298,7 +265,8 @@ PipelineResult ipcp::runPipeline(std::string_view Source,
     return Result;
   }
   double FrontendMs = lapMs(Start);
-  PipelineResult Result = runPipelineOnAst(*Ctx, Symbols, Opts);
+  AnalysisSession Session(*Ctx, Symbols);
+  PipelineResult Result = runPipelineOnSession(Session, Opts);
   Result.Timings.FrontendMs = FrontendMs;
   Result.Timings.TotalMs += FrontendMs;
   return Result;

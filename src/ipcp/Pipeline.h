@@ -25,6 +25,7 @@
 #include "ipcp/Substitution.h"
 #include "lang/Sema.h"
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,7 +43,7 @@ class ThreadPool;
 struct PipelineOptions : JumpFunctionOptions {
   /// Iterate {propagate, dead-code eliminate, reset to TOP} to a fixed
   /// point — the paper's "complete propagation" (Table 3, column 3).
-  /// Mutates the AST.
+  /// The folds apply to a private clone (PipelineResult::FoldedProgram).
   bool CompletePropagation = false;
   /// Skip the interprocedural phases entirely: SCCP per procedure with
   /// BOTTOM entries but MOD-aware call effects (Table 3, column 4).
@@ -164,9 +165,15 @@ struct PipelineResult {
   size_t CopyForwardJfs = 0;
 
   /// VarRefExpr id -> proven constant, for every substituted use. Keyed
-  /// on the analyzed AST, so only meaningful to callers that hold it
-  /// (runPipelineOnAst users and the examples).
+  /// on the analyzed AST: FoldedProgram when set, else the session's
+  /// program.
   SubstitutionMap Substitutions;
+
+  /// Complete propagation: the dead-code-eliminated program the final
+  /// round analyzed, an id-preserving clone of the session's program
+  /// whose symbols are the session's SymbolTable. Null when nothing
+  /// folded.
+  std::shared_ptr<const AstContext> FoldedProgram;
 
   /// Transformed source (only when EmitTransformedSource).
   std::string TransformedSource;
@@ -181,18 +188,10 @@ struct PipelineResult {
 PipelineResult runPipeline(std::string_view Source,
                            const PipelineOptions &Opts);
 
-/// Runs the analysis phases over an already-checked program. Mutates the
-/// AST in place when Opts.CompletePropagation, so the caller can execute
-/// the dead-code-eliminated program (the driver, the oracle). Constructs
-/// a fresh AnalysisSession internally; use runPipelineOnSession to share
-/// caches across configurations.
-PipelineResult runPipelineOnAst(AstContext &Ctx, const SymbolTable &Symbols,
-                                const PipelineOptions &Opts);
-
 /// Runs the analysis phases against a (possibly shared, possibly warm)
 /// AnalysisSession. Lowered IR, call graph, MOD/REF, SSA, and the
 /// configuration-independent jump-function base come from the session's
-/// caches; the result is byte-identical to a cold runPipelineOnAst
+/// caches; the result is byte-identical to a run on a cold session
 /// (timings excepted). It never mutates the session's program, so any
 /// number of runs, of any configuration, may share one session
 /// concurrently.
@@ -203,10 +202,10 @@ PipelineResult runPipelineOnAst(AstContext &Ctx, const SymbolTable &Symbols,
 /// same jump-function base, solver memo and substitution memo. Only if
 /// dead-code elimination would fold a branch does the run clone the
 /// program (cloneProgramResolved keeps ids, so the round's decisions
-/// apply to the clone unchanged), fold the clone, and continue the later
-/// rounds on a private session over it, under the same MaxDceRounds bound
-/// and error text. The report — counts, CONSTANTS, transformed source —
-/// is the one runPipelineOnAst produces by folding in place.
+/// apply to the clone unchanged) and fold the clone. Each fold continues
+/// on a fresh private session over the clone that adopts the previous
+/// session's lowering of the procedures the fold left clean, under the
+/// MaxDceRounds bound. The final clone is returned as FoldedProgram.
 PipelineResult runPipelineOnSession(AnalysisSession &Session,
                                     const PipelineOptions &Opts);
 

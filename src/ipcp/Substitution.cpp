@@ -39,13 +39,6 @@ SubstitutionMemo::record(std::string &&Key, ProcSubstitutions &&Value) {
       .first->second;
 }
 
-void SubstitutionMemo::clear() {
-  for (Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    S.Entries.clear();
-  }
-}
-
 namespace {
 
 void appendU32(std::string &Out, uint32_t V) {

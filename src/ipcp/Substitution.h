@@ -75,7 +75,8 @@ struct ProcSubstitutions {
 /// one procedure's seeded SCCP reads (the key argument is in
 /// ipcp/AnalysisSession.h). Sharded; entries are immutable once
 /// published and their nodes never move, so a replay pointer stays valid
-/// without the lock. clear() requires exclusive use.
+/// without the lock. Like ValueContextMemo, it lives exactly as long as
+/// its session.
 class SubstitutionMemo {
 public:
   SubstitutionMemo() = default;
@@ -94,9 +95,6 @@ public:
   uint64_t misses() const {
     return MissCount.load(std::memory_order_relaxed);
   }
-
-  /// Drops every entry; the counters survive, like ValueContextMemo's.
-  void clear();
 
 private:
   static constexpr size_t NumShards = 8;

@@ -42,10 +42,3 @@ ValueContextMemo::group(std::string &&Fingerprint,
     Init(It->second);
   return It->second;
 }
-
-void ValueContextMemo::clear() {
-  for (Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    S.Groups.clear();
-  }
-}

@@ -33,9 +33,9 @@
 /// lookup/record run under a per-group mutex (the shared suite runner
 /// and the server analyze one session from many threads). Map nodes are
 /// stable and recorded vectors are immutable after publication, so a
-/// replay pointer stays valid without holding the lock. clear() — wired
-/// to AnalysisSession::invalidate — requires exclusive use, exactly like
-/// the rest of the session's invalidation path.
+/// replay pointer stays valid without holding the lock. Nothing is ever
+/// dropped: the memo lives exactly as long as its session, whose program
+/// never changes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,8 +92,8 @@ public:
 
   /// Resolves (creating on first use) the group keyed by \p Fingerprint.
   /// \p Init runs under the shard lock exactly once, on creation, to
-  /// populate KeySyms/NumSiteJfs. The reference stays valid until
-  /// clear().
+  /// populate KeySyms/NumSiteJfs. The reference stays valid for the
+  /// memo's lifetime.
   Group &group(std::string &&Fingerprint,
                const std::function<void(Group &)> &Init);
 
@@ -105,11 +105,6 @@ public:
   uint64_t misses() const {
     return MissCount.load(std::memory_order_relaxed);
   }
-
-  /// Drops every group and context. Requires exclusive use (no solve may
-  /// hold a Group reference across this call); the counters survive —
-  /// they describe the session's history, not its current contents.
-  void clear();
 
 private:
   static constexpr size_t NumShards = 8;

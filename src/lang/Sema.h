@@ -78,6 +78,9 @@ public:
   /// Ids of all global scalars, in declaration order.
   const std::vector<SymbolId> &globalScalars() const { return GlobalIds; }
 
+  /// Ids of all global arrays, in declaration order.
+  const std::vector<SymbolId> &globalArrays() const { return GlobalArrayIds; }
+
   /// Ids of the formals of \p P, in parameter order.
   const std::vector<SymbolId> &formals(ProcId P) const {
     return PerProc.at(P).Formals;

@@ -22,6 +22,8 @@
 #include "ipcp/Pipeline.h"
 #include "ipcp/Solver.h"
 #include "ipcp/Substitution.h"
+#include "ir/IrPrinter.h"
+#include "lang/AstClone.h"
 #include "lang/AstPrinter.h"
 #include "support/ThreadPool.h"
 #include "workloads/RandomProgram.h"
@@ -49,9 +51,9 @@ namespace {
 
 /// Serializes everything a PipelineResult reports except timings and the
 /// warmth-dependent memo counters. The substitution map is keyed by
-/// expression id; a warm complete-propagation run continues on a clone
-/// that keeps the ids (and assigns new ones as an in-place fold would),
-/// so the map compares exactly.
+/// expression id; a complete-propagation run continues on a clone that
+/// keeps the ids (and assigns new ones as an in-place fold would), so
+/// the map compares exactly.
 std::string fingerprint(const PipelineResult &R) {
   std::ostringstream Out;
   Out << R.Ok << '|' << R.Error << '|' << R.SubstitutedConstants << '|'
@@ -374,8 +376,9 @@ TEST(AnalysisSession, EightThreadsShareOneSession) {
 
 TEST(AnalysisSession, DceDirtySetRelowersOnlyMutatedProcs) {
   // Only 'produce' contains a branch the seeded SCCP can fold (flag is
-  // the constant 0); 'main', 'consume', and 'clean' must stay cached
-  // across the invalidation.
+  // the constant 0). A session over the folded clone that adopts the
+  // original session's lowering must lower 'produce' alone, and lower
+  // exactly what a cold session over the clone lowers.
   const char *Source = R"(proc main()
   call produce(0)
   call clean(3)
@@ -418,15 +421,62 @@ end
                          nullptr, &Session);
   ASSERT_FALSE(Subs.Branches.empty());
 
+  std::string Original = AstPrinter().programToString(Ctx->program());
+  std::unique_ptr<AstContext> Clone = cloneProgramResolved(*Ctx);
   std::vector<ProcId> Dirty;
-  unsigned Folded = DeadCodeElim::run(*Ctx, Subs.Branches, &Dirty);
+  unsigned Folded = DeadCodeElim::run(*Clone, Subs.Branches, &Dirty);
   EXPECT_GE(Folded, 1u);
   EXPECT_EQ(Dirty, (std::vector<ProcId>{Produce}));
+  EXPECT_EQ(AstPrinter().programToString(Ctx->program()), Original);
 
-  Session.invalidate(Dirty);
-  Session.module();
-  EXPECT_EQ(Session.stats().ProcsLowered, 5u);
-  EXPECT_EQ(Session.stats().ProcsRelowered, 1u);
+  AnalysisSession Private(*Clone, Symbols);
+  Private.adoptLowering(Session, Dirty);
+  const Module &Adopted = Private.module();
+  EXPECT_EQ(Private.stats().ProcsLowered, 1u);
+  EXPECT_EQ(Private.stats().ProcsRelowered, 1u);
+  EXPECT_EQ(Session.stats().ProcsLowered, 4u);
+
+  AnalysisSession Cold(*Clone, Symbols);
+  const Module &Fresh = Cold.module();
+  EXPECT_EQ(Cold.stats().ProcsRelowered, 0u);
+  for (ProcId P = 0; P != Fresh.Functions.size(); ++P) {
+    std::ostringstream Want, Got;
+    printFunction(Fresh.function(P), Symbols, Want);
+    printFunction(Adopted.function(P), Symbols, Got);
+    EXPECT_EQ(Got.str(), Want.str()) << "procedure " << P;
+  }
+}
+
+TEST(AnalysisSession, MultiRoundFoldLeavesSharedSessionUntouched) {
+  // Complete propagation on a warm, shared session folds twice, each
+  // time on a private clone: the shared program prints the same before
+  // and after, and the report is the one a cold runPipeline gives.
+  WarmProgram W = warmUp(TwoRoundSource);
+  PipelineResult Plain = warmRun(W, PipelineOptions());
+  ASSERT_TRUE(Plain.Ok) << Plain.Error;
+  EXPECT_EQ(Plain.FoldedProgram, nullptr);
+  std::string Before = AstPrinter().programToString(W.Ctx->program());
+
+  PipelineOptions Opts;
+  Opts.CompletePropagation = true;
+  Opts.EmitTransformedSource = true;
+  PipelineResult R = warmRun(W, Opts);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.DceRounds, 2u);
+  EXPECT_EQ(R.FoldedBranches, 2u);
+  ASSERT_NE(R.FoldedProgram, nullptr);
+  EXPECT_EQ(AstPrinter().programToString(W.Ctx->program()), Before);
+  EXPECT_NE(AstPrinter().programToString(R.FoldedProgram->program()),
+            Before);
+  EXPECT_EQ(fingerprint(R), fingerprint(runPipeline(TwoRoundSource, Opts)));
+
+  // The folded program is returned exactly when something folded.
+  for (const WorkloadProgram &P : benchmarkSuite()) {
+    WarmProgram Suite = warmUp(P.Source);
+    PipelineResult S = warmRun(Suite, Opts);
+    ASSERT_TRUE(S.Ok) << P.Name << ": " << S.Error;
+    EXPECT_EQ(S.FoldedProgram != nullptr, S.FoldedBranches != 0) << P.Name;
+  }
 }
 
 TEST(AnalysisSession, SolverMemoHitsOnRevisits) {

@@ -1,8 +1,8 @@
 # Driver CLI contract test, run via `cmake -P` (see tests/CMakeLists.txt).
 # Bad inputs must produce a diagnostic and a nonzero exit instead of
 # silently analyzing an empty program; --run/--validate must work;
-# retired flags are unknown options; batch mode must print the golden
-# suite x config table.
+# retired flags are unknown options; folding complete-propagation runs
+# and batch mode must print their golden outputs.
 
 if(NOT DEFINED DRIVER OR NOT DEFINED WORK_DIR OR NOT DEFINED GOLDEN_DIR)
   message(FATAL_ERROR "DRIVER, WORK_DIR and GOLDEN_DIR must be defined")
@@ -207,6 +207,55 @@ foreach(EXTRA "" "--fsa")
     set(FAILURES "${FAILURES}\nstats_${TAG}: no return jump function line in '${LAST_STDOUT}'")
   endif()
 endforeach()
+
+# Complete propagation: the reports and transformed sources of folding
+# runs (ocean and spec77 fold one branch; the two-round program folds in
+# each of two rounds) and the --validate lines of ocean and spec77 are
+# pinned by complete_fold.golden. IPCP_REGEN_GOLDEN=1 rewrites it; a
+# mismatch leaves the new output in WORK_DIR/complete_fold.out.
+set(TWO_ROUND_MF "${WORK_DIR}/two-round.mf")
+file(WRITE "${TWO_ROUND_MF}" "proc q(m)
+  print m
+end
+proc p(k)
+  if (k != 5) then
+    call q(1)
+  end if
+  call q(3)
+  print k
+end
+proc main()
+  if (0 == 1) then
+    call p(99)
+  end if
+  call p(5)
+end
+")
+set(FOLD_REPORT "")
+foreach(PROG "ocean;--suite=ocean" "spec77;--suite=spec77"
+             "two-round;${TWO_ROUND_MF}")
+  list(POP_FRONT PROG LABEL)
+  foreach(EXTRA "" "--no-mod" "--copy" "--gsa")
+    expect_run(complete_fold_${LABEL}${EXTRA} zero "" ${PROG} "--complete"
+               "--stats" "--emit-source" ${EXTRA})
+    string(STRIP "${LABEL} --complete --stats --emit-source ${EXTRA}" RUN)
+    string(APPEND FOLD_REPORT "== ${RUN}\n${LAST_STDOUT}")
+  endforeach()
+endforeach()
+foreach(SUITE ocean spec77)
+  expect_run(complete_fold_validate_${SUITE} zero "" "--suite=${SUITE}"
+             "--validate" "--complete")
+  string(APPEND FOLD_REPORT "== ${SUITE} --validate --complete\n"
+         "${LAST_STDOUT}")
+endforeach()
+if(DEFINED ENV{IPCP_REGEN_GOLDEN})
+  file(WRITE "${GOLDEN_DIR}/complete_fold.golden" "${FOLD_REPORT}")
+endif()
+file(READ "${GOLDEN_DIR}/complete_fold.golden" FOLD_GOLDEN)
+if(NOT FOLD_REPORT STREQUAL FOLD_GOLDEN)
+  file(WRITE "${WORK_DIR}/complete_fold.out" "${FOLD_REPORT}")
+  set(FAILURES "${FAILURES}\ncomplete_fold: output differs from complete_fold.golden (see complete_fold.out)")
+endif()
 
 # Batch mode: the whole suite under every named configuration prints
 # the 195-cell table and its total; only the wall-clock line varies

@@ -132,8 +132,8 @@ TEST(ParallelPipeline, EveryConfigIsThreadCountInvariant) {
     Configs.push_back(O);
   }
   for (size_t I = 0; I != Configs.size(); ++I) {
-    // CompletePropagation mutates the AST, but runPipeline re-parses per
-    // call, so each run analyzes a fresh tree.
+    // CompletePropagation folds a private clone, so every run of a
+    // configuration analyzes the same program.
     std::string Serial = runFingerprint(Ocean.Source, Configs[I], 1);
     EXPECT_EQ(Serial, runFingerprint(Ocean.Source, Configs[I], 4))
         << "config " << I;

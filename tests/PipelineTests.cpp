@@ -7,10 +7,12 @@
 #include "ipcp/Pipeline.h"
 
 #include "workloads/Suite.h"
+#include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
 using namespace ipcp;
+using namespace ipcp::test;
 
 namespace {
 
@@ -370,30 +372,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<size_t> &Info) {
       return benchmarkSuite()[Info.param].Name;
     });
-
-namespace {
-
-// Needs two DCE rounds: folding main's dead call site is what makes
-// p's formal constant, exposing p's dead branch on the next round.
-const char *TwoRoundSource = R"(proc q(m)
-  print m
-end
-proc p(k)
-  if (k != 5) then
-    call q(1)
-  end if
-  call q(3)
-  print k
-end
-proc main()
-  if (0 == 1) then
-    call p(99)
-  end if
-  call p(5)
-end
-)";
-
-} // namespace
 
 TEST(PipelineConvergence, MultiRoundProgramConverges) {
   PipelineOptions Opts;

@@ -97,6 +97,27 @@ inline FullAnalysis analyze(const std::string &Source) {
   return A;
 }
 
+/// Needs two complete-propagation DCE rounds: folding main's dead call
+/// site is what makes p's formal constant, exposing p's dead branch on
+/// the next round.
+inline const char *const TwoRoundSource = R"(proc q(m)
+  print m
+end
+proc p(k)
+  if (k != 5) then
+    call q(1)
+  end if
+  call q(3)
+  print k
+end
+proc main()
+  if (0 == 1) then
+    call p(99)
+  end if
+  call p(5)
+end
+)";
+
 /// Collects the diagnostics of a parse+sema run (for error tests).
 inline std::string diagnose(const std::string &Source) {
   DiagnosticEngine Diags;
