@@ -24,6 +24,28 @@ using CellKey = std::pair<SymbolId, int64_t>;
 /// sound (loads stay opaque, exactly the classic behaviour).
 constexpr size_t MaxCellsPerProc = 256;
 
+/// One element of the cell lattice: TOP (not yet reached), a resolved
+/// fact — Const(c) or Copy(s) — or BOTTOM (may hold anything).
+struct CellValue {
+  enum class Kind : uint8_t { Top, Fact, Bottom };
+  Kind K = Kind::Top;
+  CellFact Fact;
+
+  static CellValue bottom() { return {Kind::Bottom, {}}; }
+  static CellValue of(CellFact F) { return {Kind::Fact, F}; }
+  bool operator==(const CellValue &) const = default;
+
+  /// Must-analysis meet: TOP is the identity, equal elements meet to
+  /// themselves, everything else falls to BOTTOM.
+  static CellValue meet(const CellValue &A, const CellValue &B) {
+    if (A.K == Kind::Top)
+      return B;
+    if (B.K == Kind::Top || A == B)
+      return A;
+    return bottom();
+  }
+};
+
 } // namespace
 
 CopyPropInfo::CopyPropInfo(const Module &M, const SymbolTable &Symbols,
@@ -62,7 +84,6 @@ CopyPropInfo::CopyPropInfo(const Module &M, const SymbolTable &Symbols,
     if (CellId.empty() || !AnyConstLoad || CellId.size() > MaxCellsPerProc)
       continue;
     size_t NumCells = CellId.size();
-    NumTrackedCells += NumCells;
 
     // A copy source must be an interprocedural parameter whose memory value
     // provably equals its entry value everywhere in P: never defined here,
@@ -97,29 +118,29 @@ CopyPropInfo::CopyPropInfo(const Module &M, const SymbolTable &Symbols,
       return !MRI || MRI->mods(Callee, Array);
     };
 
-    using State = std::vector<CopyValue>;
+    using State = std::vector<CellValue>;
     auto meetInto = [](State &Dst, const State &Src) {
       for (size_t I = 0, E = Dst.size(); I != E; ++I)
-        Dst[I] = CopyValue::meet(Dst[I], Src[I]);
+        Dst[I] = CellValue::meet(Dst[I], Src[I]);
     };
     auto transfer = [&](const Instr &In, State &Cur) {
       if (In.Op == Opcode::Store) {
         if (In.Src1.isConst()) {
           auto It = CellId.find({In.Array, In.Src1.ConstValue});
-          CopyValue Gen = CopyValue::bottom();
+          CellValue Gen = CellValue::bottom();
           if (In.Src2.isConst())
-            Gen = CopyValue::constant(In.Src2.ConstValue);
+            Gen = CellValue::of({InvalidSymbol, In.Src2.ConstValue});
           else if (In.Src2.isVar() && Stable[In.Src2.Sym])
-            Gen = CopyValue::copyOf(In.Src2.Sym);
+            Gen = CellValue::of({In.Src2.Sym, 0});
           Cur[It->second] = Gen;
         } else {
           for (uint32_t C : ArrayCells[In.Array])
-            Cur[C] = CopyValue::bottom();
+            Cur[C] = CellValue::bottom();
         }
       } else if (In.Op == Opcode::Call) {
         for (const auto &[Key, Id] : CellId)
           if (calleeKillsArray(In.Callee, Key.first))
-            Cur[Id] = CopyValue::bottom();
+            Cur[Id] = CellValue::bottom();
       }
     };
 
@@ -134,8 +155,7 @@ CopyPropInfo::CopyPropInfo(const Module &M, const SymbolTable &Symbols,
     while (Changed) {
       Changed = false;
       for (BlockId B : Rpo) {
-        State In(NumCells, B == Entry ? CopyValue::bottom()
-                                      : CopyValue::top());
+        State In(NumCells, B == Entry ? CellValue::bottom() : CellValue());
         if (B != Entry)
           for (BlockId Pred : F.block(B).Preds)
             meetInto(In, OutState[Pred]);
@@ -159,8 +179,9 @@ CopyPropInfo::CopyPropInfo(const Module &M, const SymbolTable &Symbols,
         const Instr &In = Instrs[I];
         if (In.Op == Opcode::Load && In.Src1.isConst()) {
           auto It = CellId.find({In.Array, In.Src1.ConstValue});
-          if (It != CellId.end() && Cur[It->second].isResolved()) {
-            PC.Facts.emplace(ProcCopyProp::key(B, I), Cur[It->second]);
+          if (It != CellId.end() &&
+              Cur[It->second].K == CellValue::Kind::Fact) {
+            PC.Facts.emplace(ProcCopyProp::key(B, I), Cur[It->second].Fact);
             ++NumResolvedLoads;
           }
         }

@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Intraprocedural copy propagation over array cells, feeding the
-/// interprocedural copy lattice (ipcp/CopyLattice.h). Array loads are the
+/// Intraprocedural copy propagation over array cells. Array loads are the
 /// one value source the constant framework declares permanently opaque
 /// (docs/LANGUAGE.md, limitation 2): every `x = a(i)` is BOTTOM in SCCP and
 /// Opaque in value numbering, even when the program just stored a literal
@@ -18,10 +17,13 @@
 ///    array never alias; a store through a non-constant index smashes every
 ///    cell of that array.
 ///
-///  * **Facts.** A forward *must*-dataflow (TOP-initialized interior, all-
-///    BOTTOM entry, meet at joins, fixpoint over loops) proves, per program
-///    point, that a cell holds Const(c) — a literal was stored — or
-///    Copy(s) — the entry value of a *stable* symbol s was stored. Stable
+///  * **Facts.** A forward *must*-dataflow over a private four-point cell
+///    lattice (TOP / Const(c) / Copy(s) / BOTTOM; TOP-initialized
+///    interior, all-BOTTOM entry, meet at joins, fixpoint over loops)
+///    proves, per program point, that a cell holds Const(c) — a literal
+///    was stored — or Copy(s) — the entry value of a *stable* symbol s was
+///    stored. Distinct copies, and a copy against a constant, meet to
+///    BOTTOM: proving s == c is the solver's job, not the dataflow's. Stable
 ///    means: an interprocedural parameter (formal or global scalar) that is
 ///    never defined in the procedure, never in any call's kill set (which
 ///    embeds MOD), and not in the reference-alias unstable mask, so its
@@ -34,9 +36,11 @@
 ///    per activation, so no callee can reach them.
 ///
 /// Consumers resolve Load instructions: value numbering maps a resolved
-/// load to getConst(c) / getCopyOf(s) instead of Opaque, which lets jump
-/// functions classify `call f(a(1))` actuals as Const/Copy/Poly instead of
-/// Bottom; SCCP maps it to the literal / the entry SSA value of s. Facts
+/// load to getConst(c) / getParam(s) instead of Opaque, which lets jump
+/// functions classify `call f(a(1))` actuals as Const/PassThrough/Poly
+/// instead of Bottom; SCCP maps it to the literal / the entry SSA value of
+/// s. Both are exact: a stable symbol's memory value is its entry value
+/// everywhere in the procedure, so a recovered copy *is* a parameter. Facts
 /// only upgrade points that were BOTTOM classically, so every classic
 /// constant is preserved and CONSTANTS sets grow monotonically
 /// (classic subset-of copy, checked per-proc by check-copy).
@@ -46,7 +50,6 @@
 #ifndef IPCP_ANALYSIS_COPYPROP_H
 #define IPCP_ANALYSIS_COPYPROP_H
 
-#include "ipcp/CopyLattice.h"
 #include "ir/Function.h"
 
 #include <cstddef>
@@ -58,6 +61,16 @@ namespace ipcp {
 class ModRefInfo;
 class RefAliasInfo;
 
+/// What a resolved load reads: the entry value of the stable symbol \p Sym
+/// when it is valid, else the literal \p Value.
+struct CellFact {
+  SymbolId Sym = InvalidSymbol;
+  int64_t Value = 0;
+
+  bool isConst() const { return Sym == InvalidSymbol; }
+  bool operator==(const CellFact &) const = default;
+};
+
 /// Per-procedure resolved-load facts. Queries are valid for any
 /// (block, instruction) of the procedure's CFG.
 class ProcCopyProp {
@@ -67,9 +80,8 @@ public:
   bool trivial() const { return Facts.empty(); }
 
   /// The resolved cell value for the Load instruction at \p InstrIdx of
-  /// block \p B, or null when the load stays opaque. The returned fact is
-  /// always Const or Copy.
-  const CopyValue *factAt(BlockId B, uint32_t InstrIdx) const {
+  /// block \p B, or null when the load stays opaque.
+  const CellFact *factAt(BlockId B, uint32_t InstrIdx) const {
     if (Facts.empty())
       return nullptr;
     auto It = Facts.find(key(B, InstrIdx));
@@ -84,7 +96,7 @@ private:
   }
 
   /// (block << 32 | instr) -> resolved value, only for loads that resolve.
-  std::unordered_map<uint64_t, CopyValue> Facts;
+  std::unordered_map<uint64_t, CellFact> Facts;
 };
 
 /// Program-wide copy-propagation facts plus the statistics the pipeline
@@ -100,15 +112,11 @@ public:
 
   const ProcCopyProp &proc(ProcId P) const { return Procs.at(P); }
 
-  /// Number of (array, constant index) cells tracked program-wide.
-  size_t numTrackedCells() const { return NumTrackedCells; }
-
-  /// Number of Load instructions that resolve to Const or Copy.
+  /// Number of Load instructions that resolve to a literal or a symbol.
   size_t numResolvedLoads() const { return NumResolvedLoads; }
 
 private:
   std::vector<ProcCopyProp> Procs;
-  size_t NumTrackedCells = 0;
   size_t NumResolvedLoads = 0;
 };
 

@@ -113,8 +113,11 @@ RefAliasInfo::RefAliasInfo(const Module &M, const SymbolTable &Symbols,
       ++NumAliasPairs;
       if (!mayMod(P, A) && !mayMod(P, B))
         return;
-      Unstable[P][A] = 1;
-      Unstable[P][B] = 1;
+      for (SymbolId S : {A, B})
+        if (!Unstable[P][S]) {
+          Unstable[P][S] = 1;
+          ++NumUnstable;
+        }
       AnyUnstable[P] = 1;
     };
     for (uint32_t I = 0, E = static_cast<uint32_t>(Formals.size()); I != E;
@@ -126,7 +129,5 @@ RefAliasInfo::RefAliasInfo(const Module &M, const SymbolTable &Symbols,
         if (intersects(Bind[P][I], Bind[P][J]))
           markPair(Formals[I], Formals[J]);
     }
-    for (SymbolId Sym = 0; Sym != NumSyms; ++Sym)
-      NumUnstable += Unstable[P][Sym];
   }
 }

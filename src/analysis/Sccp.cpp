@@ -234,11 +234,11 @@ void Sccp::visitInstr(BlockId B, uint32_t InstrIdx) {
     // literal / the entry value of its stable source (constant when the
     // solver seeded the source). Entry values are fixed at construction,
     // so this resolution is stable across re-visits.
-    if (const CopyValue *CF = Copy ? Copy->factAt(B, InstrIdx) : nullptr) {
+    if (const CellFact *CF = Copy ? Copy->factAt(B, InstrIdx) : nullptr) {
       if (CF->isConst()) {
-        setValue(Info.DefSsa, LatticeValue::constant(CF->constValue()));
+        setValue(Info.DefSsa, LatticeValue::constant(CF->Value));
       } else {
-        auto It = EntryDefOf.find(CF->copySym());
+        auto It = EntryDefOf.find(CF->Sym);
         setValue(Info.DefSsa, It != EntryDefOf.end()
                                   ? Values[It->second]
                                   : LatticeValue::bottom());

@@ -140,8 +140,8 @@ private:
   const std::vector<uint8_t> *Unstable;
   const ProcFlowAlias *Flow;
   const ProcCopyProp *Copy;
-  /// Entry SSA value of each symbol (filled only in copy mode): where a
-  /// Copy(s) load fact resolves to.
+  /// Entry SSA value of each symbol (filled only in copy mode): the value
+  /// a load resolved to stable symbol s takes.
   std::unordered_map<SymbolId, SsaId> EntryDefOf;
 
   std::vector<LatticeValue> Values;

@@ -26,7 +26,6 @@ const VnExpr *VnContext::intern(VnExpr Proto) {
     K.B = 0;
     break;
   case VnKind::Param:
-  case VnKind::CopyOf:
     K.A = Proto.Param;
     K.B = 0;
     break;
@@ -65,13 +64,6 @@ const VnExpr *VnContext::getConst(int64_t Value) {
 const VnExpr *VnContext::getParam(SymbolId Sym) {
   VnExpr E;
   E.Kind = VnKind::Param;
-  E.Param = Sym;
-  return intern(E);
-}
-
-const VnExpr *VnContext::getCopyOf(SymbolId Sym) {
-  VnExpr E;
-  E.Kind = VnKind::CopyOf;
   E.Param = Sym;
   return intern(E);
 }
@@ -209,7 +201,6 @@ bool ipcp::isParamExpr(const VnExpr *E) {
   switch (E->Kind) {
   case VnKind::Const:
   case VnKind::Param:
-  case VnKind::CopyOf:
     return true;
   case VnKind::Opaque:
     return false;
@@ -228,7 +219,6 @@ bool ipcp::isGatedParamExpr(const VnExpr *E) {
   switch (E->Kind) {
   case VnKind::Const:
   case VnKind::Param:
-  case VnKind::CopyOf:
     return true;
   case VnKind::Opaque:
     return false;
@@ -252,7 +242,6 @@ void ipcp::collectSupport(const VnExpr *E, std::vector<SymbolId> &Support) {
   case VnKind::Opaque:
     return;
   case VnKind::Param:
-  case VnKind::CopyOf:
     for (SymbolId S : Support)
       if (S == E->Param)
         return;
@@ -280,8 +269,6 @@ std::string ipcp::vnExprToString(const VnExpr *E,
     return std::to_string(E->ConstValue);
   case VnKind::Param:
     return Symbols.symbol(E->Param).Name;
-  case VnKind::CopyOf:
-    return "copy(" + Symbols.symbol(E->Param).Name + ")";
   case VnKind::Opaque:
     return "opaque#" + std::to_string(E->OpaqueId);
   case VnKind::Unary:
@@ -585,10 +572,9 @@ void ValueNumbering::numberPessimistic(const KillValueFn *KillFn,
       case Opcode::Load:
         // A load whose cell the copy-propagation dataflow resolves is the
         // literal / the entry value of the stable source, not an Opaque.
-        if (const CopyValue *CF = Copy ? Copy->factAt(B, I) : nullptr) {
-          ExprOf[Info.DefSsa] = CF->isConst()
-                                    ? Ctx.getConst(CF->constValue())
-                                    : Ctx.getCopyOf(CF->copySym());
+        if (const CellFact *CF = Copy ? Copy->factAt(B, I) : nullptr) {
+          ExprOf[Info.DefSsa] =
+              CF->isConst() ? Ctx.getConst(CF->Value) : Ctx.getParam(CF->Sym);
           break;
         }
         ExprOf[Info.DefSsa] = Ctx.makeOpaque();
@@ -788,11 +774,10 @@ void ValueNumbering::numberOptimistic(const KillValueFn *KillFn,
           }
           break;
         case Opcode::Load:
-          if (const CopyValue *CF = Copy ? Copy->factAt(B, I) : nullptr) {
-            Changed |= setExpr(Info.DefSsa,
-                               CF->isConst()
-                                   ? Ctx.getConst(CF->constValue())
-                                   : Ctx.getCopyOf(CF->copySym()));
+          if (const CellFact *CF = Copy ? Copy->factAt(B, I) : nullptr) {
+            Changed |= setExpr(Info.DefSsa, CF->isConst()
+                                                ? Ctx.getConst(CF->Value)
+                                                : Ctx.getParam(CF->Sym));
             break;
           }
           Changed |= setExpr(Info.DefSsa, opaqueFor(Info.DefSsa));

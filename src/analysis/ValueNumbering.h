@@ -51,19 +51,9 @@ class ProcCopyProp;
 /// selector (Ballance et al., paper reference [2]): Gamma(c, t, f) is t
 /// when c is nonzero and f otherwise. Gammas are only built when the
 /// numbering runs in gated mode (paper §4.2's suggested improvement).
-/// CopyOf is the copy-lattice leaf (ipcp/CopyLattice.h): the entry value
-/// of a stable symbol recovered from an array cell by analysis/CopyProp —
-/// semantically identical to Param (it *is* that entry value) but kept
-/// distinct so jump functions can classify it as Form::Copy.
-enum class VnKind : uint8_t {
-  Const,
-  Param,
-  Opaque,
-  Unary,
-  Binary,
-  Gamma,
-  CopyOf
-};
+/// An array load that copy propagation (analysis/CopyProp.h) resolves to
+/// the entry value of a stable symbol numbers to that symbol's Param leaf.
+enum class VnKind : uint8_t { Const, Param, Opaque, Unary, Binary, Gamma };
 
 /// One hash-consed expression node. Structural equality coincides with
 /// pointer equality for non-Opaque nodes within one VnContext.
@@ -71,7 +61,7 @@ struct VnExpr {
   VnKind Kind;
   uint32_t Id = 0;      ///< Creation index; stable canonicalization key.
   int64_t ConstValue = 0;          ///< Const.
-  SymbolId Param = InvalidSymbol;  ///< Param/CopyOf (entry value of sym).
+  SymbolId Param = InvalidSymbol;  ///< Param (entry value of sym).
   uint32_t OpaqueId = 0;           ///< Opaque (unique per creation).
   UnaryOp UOp = UnaryOp::Neg;      ///< Unary.
   BinaryOp BOp = BinaryOp::Add;    ///< Binary.
@@ -81,7 +71,6 @@ struct VnExpr {
 
   bool isConst() const { return Kind == VnKind::Const; }
   bool isParam() const { return Kind == VnKind::Param; }
-  bool isCopyOf() const { return Kind == VnKind::CopyOf; }
   bool isOpaque() const { return Kind == VnKind::Opaque; }
 };
 
@@ -96,9 +85,6 @@ public:
 
   const VnExpr *getConst(int64_t Value);
   const VnExpr *getParam(SymbolId Sym);
-  /// The copy-lattice leaf: the entry value of stable symbol \p Sym, as
-  /// recovered from an array cell (analysis/CopyProp.h).
-  const VnExpr *getCopyOf(SymbolId Sym);
   /// Creates a fresh, never-unified opaque value.
   const VnExpr *makeOpaque();
   /// Builds (folding constants and simple identities) op(Operand).
@@ -193,7 +179,7 @@ struct VnPrecision {
   const ProcFlowAlias *Flow = nullptr;
   bool Optimistic = false;
   /// Copy-propagation facts (analysis/CopyProp.h): a Load whose cell
-  /// resolves becomes getConst/getCopyOf instead of Opaque.
+  /// resolves becomes getConst/getParam instead of Opaque.
   const ProcCopyProp *Copy = nullptr;
 };
 

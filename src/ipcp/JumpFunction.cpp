@@ -41,10 +41,6 @@ std::unique_ptr<JfExpr> JfExpr::fromVn(const VnExpr *E, bool AllowGated) {
     Out->Kind = Node::Param;
     Out->Param = E->Param;
     break;
-  case VnKind::CopyOf:
-    Out->Kind = Node::Copy;
-    Out->Param = E->Param;
-    break;
   case VnKind::Unary:
     Out->Kind = Node::Unary;
     Out->UOp = E->UOp;
@@ -100,7 +96,6 @@ JfExpr::eval(const std::function<LatticeValue(SymbolId)> &Env) const {
   case Node::Const:
     return LatticeValue::constant(ConstValue);
   case Node::Param:
-  case Node::Copy:
     return Env(Param);
   case Node::Unary: {
     LatticeValue V = Lhs->eval(Env);
@@ -140,7 +135,6 @@ void JfExpr::collectSupport(std::vector<SymbolId> &Support) const {
   case Node::Const:
     return;
   case Node::Param:
-  case Node::Copy:
     for (SymbolId S : Support)
       if (S == Param)
         return;
@@ -172,11 +166,6 @@ void JfExpr::appendFingerprint(std::string &Out) const {
     return;
   case Node::Param:
     Out += 'p';
-    Out += std::to_string(Param);
-    Out += ';';
-    return;
-  case Node::Copy:
-    Out += 'k';
     Out += std::to_string(Param);
     Out += ';';
     return;
@@ -214,8 +203,6 @@ std::string JfExpr::str(const SymbolTable &Symbols) const {
     return std::to_string(ConstValue);
   case Node::Param:
     return Symbols.symbol(Param).Name;
-  case Node::Copy:
-    return "copy(" + Symbols.symbol(Param).Name + ")";
   case Node::Unary:
     return std::string(unaryOpSpelling(UOp)) + "(" + Lhs->str(Symbols) + ")";
   case Node::Binary:
@@ -257,14 +244,6 @@ JumpFunction JumpFunction::polynomial(std::unique_ptr<JfExpr> Expr) {
   return J;
 }
 
-JumpFunction JumpFunction::copyOf(SymbolId Sym) {
-  JumpFunction J;
-  J.F = Form::Copy;
-  J.Pass = Sym;
-  J.Support = {Sym};
-  return J;
-}
-
 int64_t JumpFunction::constValue() const {
   assert(F == Form::Const && "constValue() on a non-constant jump function");
   return ConstValue;
@@ -290,14 +269,10 @@ JumpFunction JumpFunction::classify(JumpFunctionKind Kind, const VnExpr *E,
   if (Kind == JumpFunctionKind::IntraConst)
     return bottom();
 
-  // Pass-through: an entry parameter transmitted unmodified (§3.1.3).
+  // Pass-through: an entry parameter transmitted unmodified (§3.1.3),
+  // including one copy propagation recovered from an array cell.
   if (E->isParam())
     return passThrough(E->Param);
-  // Copy lattice: an array cell proven to hold the entry value of one
-  // caller parameter. CopyOf expressions only exist when the copy
-  // propagation is on, so classic configurations are byte-unaffected.
-  if (E->isCopyOf())
-    return copyOf(E->Param);
   if (Kind == JumpFunctionKind::PassThrough)
     return bottom();
 
@@ -320,7 +295,6 @@ JumpFunction::eval(const std::function<LatticeValue(SymbolId)> &Env) const {
   case Form::Const:
     return LatticeValue::constant(ConstValue);
   case Form::PassThrough:
-  case Form::Copy:
     return Env(Pass);
   case Form::Poly:
     return Expr->eval(Env);
@@ -343,11 +317,6 @@ void JumpFunction::appendFingerprint(std::string &Out) const {
     Out += std::to_string(Pass);
     Out += ';';
     return;
-  case Form::Copy:
-    Out += 'K';
-    Out += std::to_string(Pass);
-    Out += ';';
-    return;
   case Form::Poly:
     Out += 'Y';
     Expr->appendFingerprint(Out);
@@ -363,8 +332,6 @@ std::string JumpFunction::str(const SymbolTable &Symbols) const {
     return std::to_string(ConstValue);
   case Form::PassThrough:
     return "passthrough(" + Symbols.symbol(Pass).Name + ")";
-  case Form::Copy:
-    return "copy(" + Symbols.symbol(Pass).Name + ")";
   case Form::Poly:
     return "poly(" + Expr->str(Symbols) + ")";
   }

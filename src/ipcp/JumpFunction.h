@@ -56,18 +56,8 @@ class JfExpr {
 public:
   /// Gamma is the gated selector (paper §4.2 / reference [2]); Unknown
   /// marks a gamma arm whose value is unknowable — selecting it yields
-  /// BOTTOM. Copy is the copy-lattice leaf (ipcp/CopyLattice.h): the
-  /// entry value of one caller parameter recovered from an array cell —
-  /// evaluated exactly like Param, fingerprinted distinctly.
-  enum class Node : uint8_t {
-    Const,
-    Param,
-    Unary,
-    Binary,
-    Gamma,
-    Unknown,
-    Copy
-  };
+  /// BOTTOM.
+  enum class Node : uint8_t { Const, Param, Unary, Binary, Gamma, Unknown };
 
   /// Deep-copies \p E, which must satisfy isParamExpr() — or, when
   /// \p AllowGated, isGatedParamExpr() (opaque gamma arms become
@@ -118,8 +108,6 @@ public:
     Const,       ///< A known constant, independent of the caller.
     PassThrough, ///< The caller's entry value of one parameter.
     Poly,        ///< An expression over the caller's entry parameters.
-    Copy,        ///< The entry value of one caller parameter, recovered
-                 ///< through an array cell by the copy lattice (--copy).
   };
 
   JumpFunction() = default;
@@ -130,10 +118,6 @@ public:
   static JumpFunction constant(int64_t Value);
   static JumpFunction passThrough(SymbolId Sym);
   static JumpFunction polynomial(std::unique_ptr<JfExpr> Expr);
-  /// Form::Copy: evaluates like passThrough(Sym) but carries the
-  /// copy-lattice provenance (fingerprint token `K<sym>;`), so classic
-  /// and copy-recovered facts never collide in memo keys.
-  static JumpFunction copyOf(SymbolId Sym);
 
   /// Builds the strongest jump function of kind \p Kind for a value whose
   /// value-numbered expression is \p E and whose source operand is a

@@ -357,9 +357,6 @@ JumpFunctionStats buildForwardJfsForProc(const BuildContext &BC, ProcId P,
       Stats.MaxPolySupport =
           std::max(Stats.MaxPolySupport, J.support().size());
       break;
-    case JumpFunction::Form::Copy:
-      ++Stats.NumForwardCopy;
-      break;
     case JumpFunction::Form::Bottom:
       ++Stats.NumForwardBottom;
       break;
@@ -495,7 +492,6 @@ void foldStats(JumpFunctionStats &Into, const JumpFunctionStats &S) {
   Into.NumForwardPassThrough += S.NumForwardPassThrough;
   Into.NumForwardPoly += S.NumForwardPoly;
   Into.NumForwardBottom += S.NumForwardBottom;
-  Into.NumForwardCopy += S.NumForwardCopy;
   Into.TotalPolySupport += S.TotalPolySupport;
   Into.MaxPolySupport = std::max(Into.MaxPolySupport, S.MaxPolySupport);
   Into.NumReturn += S.NumReturn;

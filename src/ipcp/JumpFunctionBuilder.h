@@ -76,10 +76,11 @@ struct JumpFunctionOptions {
   /// inputs and re-evaluate to a fixpoint, recovering merges the single
   /// pass gives up on. Strictly refines the pessimistic numbering.
   bool OptimisticVn = false;
-  /// Run the copy lattice (ipcp/CopyLattice.h, analysis/CopyProp.h):
-  /// array loads whose cell provably holds a literal or the entry value
-  /// of a stable parameter resolve instead of staying Opaque, and jump
-  /// functions carry the recovered facts as Form::Copy / Copy leaves.
+  /// Run array-cell copy propagation (analysis/CopyProp.h): array loads
+  /// whose cell provably holds a literal or the entry value of a stable
+  /// parameter resolve instead of staying Opaque, so jump functions carry
+  /// the recovered facts as ordinary constants, pass-throughs and
+  /// polynomial leaves.
   /// Strictly refines every kind above IntraConst; byte-identical off.
   bool CopyPropagation = false;
 
@@ -95,8 +96,6 @@ struct JumpFunctionStats {
   size_t NumForwardPassThrough = 0;
   size_t NumForwardPoly = 0;
   size_t NumForwardBottom = 0;
-  /// Copy propagation only: forward functions of Form::Copy.
-  size_t NumForwardCopy = 0;
   size_t TotalPolySupport = 0;
   size_t MaxPolySupport = 0;
   size_t NumReturn = 0;
@@ -204,7 +203,7 @@ public:
 /// numbering saw an incomplete view of their SCC's return jump
 /// functions. The result is byte-identical to the session-less build.
 /// With Opts.CopyPropagation, \p CopyFacts must be non-null; value
-/// numbering then resolves the loads the copy lattice proves.
+/// numbering then resolves the loads copy propagation proves.
 ProgramJumpFunctions buildJumpFunctions(const Module &M,
                                         const SymbolTable &Symbols,
                                         const CallGraph &CG,

@@ -210,7 +210,6 @@ PipelineResult ipcp::runPipelineOnSession(AnalysisSession &Session,
     Result.PerProcSubstituted = Subs.PerProc;
     Result.JfStats = Jfs.Stats;
     Result.GvnPhiMerges = Jfs.Stats.NumGvnPhiMerges;
-    Result.CopyForwardJfs = Jfs.Stats.NumForwardCopy;
     Result.SolverProcVisits = Solve.ProcVisits;
     Result.SolverJfEvaluations = Solve.JfEvaluations;
     Result.SolverCellLowerings = Solve.CellLowerings;

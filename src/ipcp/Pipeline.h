@@ -156,13 +156,10 @@ struct PipelineResult {
   /// OptimisticVn only: phi merges the pessimistic pass would have given
   /// up on that converged to a usable value (JfStats.NumGvnPhiMerges).
   size_t GvnPhiMerges = 0;
-  /// CopyPropagation only: array loads the copy lattice resolved to a
+  /// CopyPropagation only: array loads copy propagation resolved to a
   /// literal or a stable symbol's entry value, program-wide under the
   /// active MOD setting (analysis/CopyProp.h).
   size_t CopyLoadsResolved = 0;
-  /// CopyPropagation only: forward jump functions classified Form::Copy
-  /// (JfStats.NumForwardCopy).
-  size_t CopyForwardJfs = 0;
 
   /// VarRefExpr id -> proven constant, for every substituted use. Keyed
   /// on the analyzed AST: FoldedProgram when set, else the session's

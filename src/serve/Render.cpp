@@ -58,8 +58,7 @@ std::string ipcp::renderAnalysisReport(const PipelineOptions &Opts,
     if (Opts.OptimisticVn)
       OS << "  optimistic GVN phi merges: " << Result.GvnPhiMerges << "\n";
     if (Opts.CopyPropagation)
-      OS << "  copy loads resolved: " << Result.CopyLoadsResolved << " ("
-         << Result.CopyForwardJfs << " copy forward JFs)\n";
+      OS << "  copy loads resolved: " << Result.CopyLoadsResolved << "\n";
   }
 
   for (size_t P = 0; P != Result.Constants.size(); ++P) {

@@ -29,6 +29,7 @@
 
 #include "exec/Oracle.h"
 #include "ipcp/AnalysisSession.h"
+#include "ipcp/JumpFunctionBuilder.h"
 #include "ipcp/Pipeline.h"
 #include "lang/Parser.h"
 #include "lang/Sema.h"
@@ -118,7 +119,7 @@ std::string fingerprint(const PipelineResult &R) {
      << R.ConstantPrints << '|' << R.KnownButIrrelevant << '|'
      << R.DceRounds << '|' << R.FoldedBranches << '|'
      << R.AliasPointsRefined << '|' << R.GvnPhiMerges << '|'
-     << R.CopyLoadsResolved << '|' << R.CopyForwardJfs << '\n';
+     << R.CopyLoadsResolved << '\n';
   OS << "perproc:";
   for (unsigned N : R.PerProcSubstituted)
     OS << ' ' << N;
@@ -289,6 +290,45 @@ TEST(CopyDifferential, EveryCopyFamilyGainsAndSurvivesTheOracle) {
       EXPECT_TRUE(R.Ok) << P.Name << ": " << R.Error;
       EXPECT_EQ(R.ConstantMismatches, 0u) << P.Name;
     }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// A recovered copy is an ordinary pass-through.
+//===----------------------------------------------------------------------===//
+
+TEST(CopyJumpFunctions, CellRelayActualIsAPassThrough) {
+  // relay's leaf(buf(1)) actual: under copy propagation buf(1) provably
+  // holds the entry value of the stable formal x, so the builder emits
+  // exactly the jump function a direct `call leaf(x)` gets. Classically
+  // the load is opaque and the actual transmits nothing.
+  DiagnosticEngine Diags;
+  auto Ctx = parseProgram(CellRelaySource, Diags);
+  SymbolTable Symbols = Sema::run(*Ctx, Diags);
+  ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
+  AnalysisSession Session(*Ctx, Symbols);
+  ProcId Relay = *Ctx->program().findProc("relay");
+  SymbolId X = Symbols.formals(Relay).at(0);
+
+  JumpFunctionOptions Classic, Copy;
+  Copy.CopyPropagation = true;
+  for (const JumpFunctionOptions &Opts : {Classic, Copy}) {
+    ProgramJumpFunctions Jfs = buildJumpFunctions(Session, Opts);
+    ASSERT_EQ(Jfs.PerSite[Relay].size(), 1u);
+    const JumpFunction &Actual = Jfs.PerSite[Relay][0].Args.at(0);
+    std::string Fp;
+    Actual.appendFingerprint(Fp);
+    if (Opts.CopyPropagation) {
+      EXPECT_EQ(Actual.form(), JumpFunction::Form::PassThrough);
+      EXPECT_EQ(Actual.support(), std::vector<SymbolId>{X});
+      EXPECT_EQ(Fp, "P" + std::to_string(X) + ";");
+    } else {
+      EXPECT_TRUE(Actual.isBottom()) << Fp;
+    }
+    // The forward breakdown accounts for every function, recovered or not.
+    const JumpFunctionStats &St = Jfs.Stats;
+    EXPECT_EQ(St.NumForward, St.NumForwardConst + St.NumForwardPassThrough +
+                                 St.NumForwardPoly + St.NumForwardBottom);
   }
 }
 

@@ -208,6 +208,21 @@ foreach(EXTRA "" "--fsa")
   endif()
 endforeach()
 
+# A copy-recovered actual is an ordinary pass-through: under --copy the
+# forward breakdown adds up to its total, and --dump-jf prints the
+# recovered relays as passthrough(x).
+expect_run(copy_stats zero "" "--suite=copychains" "--copy" "--stats")
+if(NOT LAST_STDOUT MATCHES "\n  forward jump functions: 16 \\(5 const, 8 pass-through, 1 polynomial, 2 bottom\\)\n")
+  set(FAILURES "${FAILURES}\ncopy_stats: forward breakdown in '${LAST_STDOUT}'")
+endif()
+if(NOT LAST_STDOUT MATCHES "\n  copy loads resolved: 12\n")
+  set(FAILURES "${FAILURES}\ncopy_stats: copy loads line in '${LAST_STDOUT}'")
+endif()
+expect_run(copy_dump_jf zero "" "--suite=copychains" "--copy" "--dump-jf")
+if(NOT LAST_STDOUT MATCHES "relay_3_1 -> relay_3_2: x=passthrough\\(x\\)\n")
+  set(FAILURES "${FAILURES}\ncopy_dump_jf: no recovered pass-through in '${LAST_STDOUT}'")
+endif()
+
 # Complete propagation: the reports and transformed sources of folding
 # runs (ocean and spec77 fold one branch; the two-round program folds in
 # each of two rounds) and the --validate lines of ocean and spec77 are

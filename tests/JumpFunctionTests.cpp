@@ -356,7 +356,7 @@ TEST(SummaryIO, FingerprintRoundTripsEveryFormInSuite) {
 }
 
 TEST(SummaryIO, FingerprintParsesHandWrittenForms) {
-  // Gamma, unknown and copy nodes, built by hand so coverage does not
+  // Gamma and unknown nodes, built by hand so coverage does not
   // depend on what the suite programs happen to generate: each form
   // encodes as written, and pairs that differ in exactly one thing get
   // distinct fingerprints.
@@ -378,10 +378,8 @@ TEST(SummaryIO, FingerprintParsesHandWrittenForms) {
        JumpFunction::constant(std::numeric_limits<int64_t>::min())},
       {"C42;", JumpFunction::constant(42)},
       {"P3;", JumpFunction::passThrough(3)},
-      {"K3;", JumpFunction::copyOf(3)},
       {"Yc5;", Poly(Ctx.getConst(5))},
       {"Yp7;", Poly(Ctx.getParam(7))},
-      {"Yk2;", Poly(Ctx.getCopyOf(2))},
       {"Yu1(p2;)", Poly(Ctx.getUnary(UnaryOp::LogicalNot, P2))},
       {"Yb4(p1;c3;)",
        Poly(Ctx.getBinary(BinaryOp::Mod, P1, Ctx.getConst(3)))},
@@ -416,11 +414,6 @@ TEST(SummaryIO, FingerprintParsesHandWrittenForms) {
        Poly(Ctx.getBinary(BinaryOp::Div, P1, P2))},
       {"swapped gamma arms", Poly(Ctx.getGamma(P1, P2, P3)),
        Poly(Ctx.getGamma(P1, P3, P2))},
-      {"copy against pass-through", JumpFunction::copyOf(1),
-       JumpFunction::passThrough(1)},
-      {"copy against parameter in an expression",
-       Poly(Ctx.getBinary(BinaryOp::Sub, Ctx.getCopyOf(1), P2)),
-       Poly(Ctx.getBinary(BinaryOp::Sub, P1, P2))},
       {"unknown gamma arm", Poly(Ctx.getGamma(P1, P2, Opaque)),
        Poly(Ctx.getGamma(P1, P2, Ctx.getConst(0)))},
   };

@@ -14,10 +14,14 @@
 
 #include "exec/Oracle.h"
 #include "ipcp/Pipeline.h"
+#include "workloads/Suite.h"
 
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace ipcp;
 using namespace ipcp::test;
@@ -190,4 +194,35 @@ end
 )");
   EXPECT_TRUE(V.Ok) << V.Error;
   EXPECT_GT(V.TraceComparisons, 0u);
+}
+
+TEST(RefAlias, NumUnstableEqualsAMaskRecount) {
+  // numUnstable() is counted as mask entries flip to unstable; it must
+  // equal a recount of every mask, with and without MOD, over the
+  // extended suite and the hand-curated aliasing shapes.
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (const WorkloadProgram &W : extendedSuite())
+    Programs.emplace_back(W.Name, W.Source);
+  std::ifstream In(IPCP_TEST_CORPUS_DIR "/alias-shapes.mf");
+  ASSERT_TRUE(In) << "cannot read alias-shapes.mf";
+  std::ostringstream Shapes;
+  Shapes << In.rdbuf();
+  Programs.emplace_back("alias-shapes", Shapes.str());
+
+  size_t Total = 0;
+  for (const auto &[Name, Source] : Programs) {
+    FullAnalysis A = analyze(Source);
+    const ModRefInfo *WithAndWithoutMod[] = {A.MRI.get(), nullptr};
+    for (const ModRefInfo *MRI : WithAndWithoutMod) {
+      RefAliasInfo Aliases(A.M, A.Symbols, MRI);
+      size_t Recount = 0;
+      for (ProcId P = 0; P != A.M.Functions.size(); ++P)
+        for (uint8_t U : Aliases.unstableMask(P))
+          Recount += U != 0;
+      EXPECT_EQ(Aliases.numUnstable(), Recount)
+          << Name << (MRI ? "" : " (no MOD)");
+      Total += Recount;
+    }
+  }
+  EXPECT_GT(Total, 0u);
 }
